@@ -23,6 +23,7 @@ are stored as :class:`ComplexCoefficients` (scalar case) or
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any
@@ -137,6 +138,9 @@ class ComplexCoefficients:
         object.__setattr__(self, "eps_a", complex(self.eps_a))
         object.__setattr__(self, "eps_0", float(self.eps_0))
         object.__setattr__(self, "eps_plus", complex(self.eps_plus))
+        for name in ("eps_a", "eps_0", "eps_plus"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def eps_minus(self) -> complex:
@@ -245,6 +249,8 @@ class BallCoefficients:
         eps = np.asarray(self.eps, dtype=complex).reshape(-1)
         if eps.shape != (n,):
             raise ValueError(f"eps must be a length-{n} vector, got shape {eps.shape}")
+        if not np.all(np.isfinite(eps)):
+            raise ValueError("eps must be finite")
         eps0 = _as_square(self.eps0, n, "eps0")
         eps_plus = _as_square(self.eps_plus, n, "eps_plus")
         herm = np.max(np.abs(eps0 - eps0.conj().T)) if n else 0.0

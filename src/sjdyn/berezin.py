@@ -71,11 +71,16 @@ class LinearizationPair:
 
     def to_ball(self) -> BallPoint:
         """W = X·Y⁻¹; raises :class:`RiccatiSingularError` near singular Y."""
-        sv = np.linalg.svd(self.Y, compute_uv=False)
-        if sv[-1] <= RICCATI_SINGULAR_TOL * sv[0]:
-            raise RiccatiSingularError(
-                f"relative smallest singular value of Y is {sv[-1] / sv[0]:.3e}")
-        return BallPoint(np.linalg.solve(self.Y.T, self.X.T).T)
+        return BallPoint(_quotient_raw(self.X, self.Y))
+
+
+def _quotient_raw(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Unvalidated W = X·Y⁻¹; raises :class:`RiccatiSingularError` near singular Y."""
+    sv = np.linalg.svd(Y, compute_uv=False)
+    if not sv[-1] > RICCATI_SINGULAR_TOL * sv[0]:
+        raise RiccatiSingularError(
+            f"relative smallest singular value of Y is {sv[-1] / sv[0]:.3e}")
+    return np.linalg.solve(Y.T, X.T).T
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,18 @@ Verbs:
     validate --config cfg.json    parse + validate only
 
 Exit codes: 0 success, 1 config or runtime error, 2 tolerance failure.
-Multiple --config flags run as a batch; SJDYN_THREADS (default 1) sets the
-worker count, experiments being independent of each other.
+Multiple --config flags run as a batch, one after another; the exit code is
+the worst of the batch.
+
+A schedule drive is stepped segment by segment: no integration step crosses
+a segment end, and a sample at a segment end belongs to the next segment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .runner import (
     ConfigError,
@@ -37,7 +38,7 @@ def _load_config(path: str) -> ExperimentConfig:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, oversized integers
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
     return ExperimentConfig.from_json(obj)
 
@@ -56,7 +57,7 @@ def _run_one(verb: str, path: str) -> int:
         return 0
     try:
         report = run_experiment(cfg)
-    except (InvariantViolation, StepUnderflowError, RuntimeError, ValueError) as exc:
+    except (InvariantViolation, StepUnderflowError, RuntimeError, ValueError, ArithmeticError, OSError) as exc:
         print(f"{path}: run failed: {exc}", file=sys.stderr)
         return 1
     print(f"{path}: {cfg.method} ok, samples={report['samples']}, margin_min={report['margin_min']:.6g}")
@@ -83,14 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", action="append", required=True, metavar="PATH")
     args = parser.parse_args(argv)
 
-    threads = max(1, int(os.environ.get("SJDYN_THREADS", "1")))
-    paths: list[str] = args.config
-    if threads == 1 or len(paths) == 1:
-        codes = [_run_one(args.verb, p) for p in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            codes = list(pool.map(lambda p: _run_one(args.verb, p), paths))
-    return max(codes)
+    return max([_run_one(args.verb, p) for p in args.config])
 
 
 if __name__ == "__main__":
