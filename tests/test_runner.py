@@ -637,6 +637,36 @@ def test_ball_schedule_drive_lanes_agree_across_segment_end(first_end):
     assert rep["comparisons"]["berezin-ball|riccati-linearized"] <= 1e-8
 
 
+@pytest.mark.parametrize("lane", ["wei-norman", "berezin-fc", "berezin-disk", "berezin-ball"])
+@pytest.mark.parametrize(
+    "step, ends",
+    [
+        pytest.param(0.1, (0.3, 1.0), id="grid-time-just-above-end"),  # 0.1*3 = 0.30000000000000004
+        pytest.param(0.3, (0.9, 1.5), id="grid-time-just-below-end"),  # 0.3*3 = 0.8999999999999999
+    ],
+)
+def test_rk45_schedule_end_within_rounding_of_a_grid_time(tmp_path, capsys, lane, step, ends):
+    # an end a few ulps from a sample makes no sub-span too short to step
+    cfg = scalar_config(method=lane, integrator="rk45", grid={"t0": 0.0, "t1": ends[1], "step": step})
+    del cfg["coefficients"]
+    cfg["schedule"] = [
+        {"until": ends[0], "coefficients": dict(SCALAR_COEFFS)},
+        {"until": ends[1], "coefficients": dict(SECOND_SEGMENT)},
+    ]
+    path = write_config(tmp_path, "sched.json", cfg)
+    assert cli.main(["run", "--config", path]) == 0
+    exp = ExperimentConfig.from_json(cfg)
+    got = runner._common_chart_states(runner._LANES[lane](exp), 1)
+    ref = runner._common_chart_states(runner._LANES["riccati-linearized"](exp), 1)
+    assert np.max(np.abs(got - ref)) <= 1e-6
+
+
+def test_substeps_make_no_cut_within_rounding_of_either_end():
+    assert list(runner._substeps([0.3, 1.0], 0.2, 0.1 * 3)) == [(0, 0.2, 0.1 * 3)]
+    assert list(runner._substeps([0.9, 1.5], 0.3 * 3, 1.2)) == [(1, 0.3 * 3, 1.2)]
+    assert list(runner._substeps([0.25, 1.0], 0.2, 0.3)) == [(0, 0.2, 0.25), (1, 0.25, 0.3)]
+
+
 def test_readme_schedule_conserves_energy_per_segment():
     cfg = two_segment_config("berezin-fc", 0.01, 1.0, integrator="rk45")
     rep = run_experiment(ExperimentConfig.from_json(cfg))
