@@ -67,6 +67,7 @@ def _run_one(verb: str, path: str) -> int:
         print(f"  phase bridge residual max {report['phase_bridge_max']:.3e}")
     if "fock" in report:
         print(f"  fock fidelity min {report['fock']['fidelity_min']:.9f} (dim={report['fock']['dim']})")
+        print(f"  fock phase max {report['fock']['phase_max']:.3e}")
     if verb in ("compare", "oracle"):
         failures = tolerance_failures(cfg, report)
         for msg in failures:

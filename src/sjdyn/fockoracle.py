@@ -1,16 +1,27 @@
 """Truncated Fock-space oracle: dense matrices, direct propagation, fidelity.
 
-Everything here is brute force on purpose.  The six generators are explicit
-dim×dim matrices in the number basis, with the su(1,1) triple realized on a
-single bosonic mode:
+The direct propagation is brute force on purpose.  The six generators are
+explicit dim×dim matrices in the number basis, with the su(1,1) triple
+realized on a single bosonic mode:
 
     K₊ = ½(a†)²,   K₋ = ½a²,   K₀ = ¼(2a†a + 1).
 
 The realization splits into parity sectors with lowest K₀ eigenvalue
 k = ¼ (even, cyclic vector |0⟩) or k = ¾ (odd, cyclic vector |1⟩).  The
 closed-form machinery elsewhere in the package is checked against direct
-Schrödinger integration and against coherent-state vectors built by matrix
-exponential — no shared code paths with the things being checked.
+Schrödinger integration: each Hamiltonian is diagonalized densely, with no
+shared code paths with the things being checked.
+
+The coherent states themselves come from their closed form, not from dense
+matrix exponentials.  exp(z·a† + w·K₊)|0⟩ has number-basis amplitudes
+
+    ψ₀ = 1,   ψ_{m+1} = (z·ψ_m + √m·w·ψ_{m−1}) / √(m+1),
+
+an O(dim) three-term recurrence (Perelomov, *Generalized Coherent States*,
+1986), and D(α)S(w)|0⟩ = (1−|w|²)^{1/4}·e^{−ᾱz/2}·exp(z·a† + w·K₊)|0⟩ with
+z = α − w·ᾱ.  The dense D(α) and S(w) of :func:`displacement_matrix` and
+:func:`squeeze_matrix` stay as the reference that the tests hold the closed
+form to.
 
 Truncation policy: any operation whose result would leak into the top of the
 basis refuses (raises :class:`TruncationError`) rather than silently
@@ -20,6 +31,8 @@ tail.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,18 +154,22 @@ class StateVector:
 def build_generators(spec: FockBasisSpec) -> OperatorSet:
     """Number-basis matrices with a|m⟩ = √m|m−1⟩ and the one-mode K's.
 
-    Truncation corrupts only the top two levels of each bracket; every
-    commutator check must mask those rows/columns.
+    Each matrix is set on its one nonzero diagonal, with the entries the
+    products a†a†, aa and a†a would give (K₀'s diagonal is ¼(2·√m·√m + 1),
+    not ¼(2m + 1)).  Truncation corrupts only the top two levels of each
+    bracket; every commutator check must mask those rows/columns.
     """
     dim = spec.dim
-    a = np.zeros((dim, dim), dtype=complex)
-    for m in range(1, dim):
-        a[m - 1, m] = np.sqrt(m)
-    adag = a.conj().T
-    kp = 0.5 * (adag @ adag)
-    km = 0.5 * (a @ a)
-    k0 = 0.25 * (2.0 * (adag @ a) + np.eye(dim))
-    return OperatorSet(a=a, adag=adag, K0=k0, Kp=kp, Km=km, Id=np.eye(dim, dtype=complex))
+    root = np.sqrt(np.arange(dim, dtype=float))
+    pair = 0.5 * (root[2:] * root[1:-1])
+    return OperatorSet(
+        a=np.diag(root[1:], 1).astype(complex),
+        adag=np.diag(root[1:], -1).astype(complex),
+        K0=np.diag(0.25 * (2.0 * (root * root) + 1.0)).astype(complex),
+        Kp=np.diag(pair, -2).astype(complex),
+        Km=np.diag(pair, 2).astype(complex),
+        Id=np.eye(dim, dtype=complex),
+    )
 
 
 def cyclic_vector(spec: FockBasisSpec) -> StateVector:
@@ -164,40 +181,66 @@ def cyclic_vector(spec: FockBasisSpec) -> StateVector:
 
 def _check_tail(psi: np.ndarray, what: str) -> None:
     total = float(np.vdot(psi, psi).real)
+    if not math.isfinite(total):
+        raise TruncationError(f"{what}: non-finite amplitudes")
     if total == 0.0:
         raise TruncationError(f"{what}: zero vector")
     lo = max(1, psi.size - TAIL_LEVELS)
     tail = float(np.vdot(psi[lo:], psi[lo:]).real)
-    if tail > TAIL_MASS_MAX * total:
+    if not (tail <= TAIL_MASS_MAX * total):
         raise TruncationError(
             f"{what}: tail mass {tail / total:.3e} of total exceeds {TAIL_MASS_MAX:.1e}; "
             "increase dim"
         )
 
 
+def _check_disk(w: complex) -> None:
+    if not abs(w) < 1.0:
+        raise ValueError(f"|w| must be < 1, got |w|={abs(w)}")
+
+
+def _ladder_amplitudes(z: complex, w: complex, lead: complex, size: int) -> np.ndarray:
+    """ψ₀..ψ_{size−1} of lead·exp(z·a† + w·K₊)|0⟩ by the three-term recurrence.
+
+    ψ₀ = lead and ψ_{m+1} = (z·ψ_m + √m·w·ψ_{m−1})/√(m+1): the generating
+    function exp(z·x + ½w·x²) of the coefficients of (a†)^m|0⟩ = √(m!)|m⟩.
+    Starting from the normalizing prefactor keeps every amplitude of a
+    normalized state, so none can overflow.
+    """
+    root = np.sqrt(np.arange(size, dtype=float)).tolist()
+    out = [0j] * size
+    prev, cur = 0j, complex(lead)
+    out[0] = cur
+    for m in range(size - 1):
+        prev, cur = cur, (z * cur + root[m] * w * prev) / root[m + 1]
+        out[m + 1] = cur
+    return np.array(out, dtype=complex)
+
+
+def _raise_once(e: np.ndarray) -> np.ndarray:
+    """a†·e in the truncated basis: (a†e)_m = √m·e_{m−1}."""
+    out = np.zeros_like(e)
+    out[1:] = np.sqrt(np.arange(1, e.size, dtype=float)) * e[:-1]
+    return out
+
+
 def coherent_vector(z: complex, w: complex, spec: FockBasisSpec) -> StateVector:
     """Unnormalized e_{z,w} = exp(z·a† + w·K₊) applied to the cyclic vector.
 
-    z·a† + w·K₊ is strictly lower triangular in the number basis, so the
-    exponential series terminates exactly within the truncation.  Raises
+    z·a† + w·K₊ only raises the level, so the truncated vector holds the
+    exact leading amplitudes: the recurrence of :func:`_ladder_amplitudes`,
+    times a† in the odd sector (exp(z·a† + w·K₊)|1⟩ = a†·e_{z,w}).  Raises
     :class:`TruncationError` when the top :data:`TAIL_LEVELS` levels carry
-    more than :data:`TAIL_MASS_MAX` of the mass.
+    more than :data:`TAIL_MASS_MAX` of the mass, or an amplitude is not finite.
     """
     z = complex(z)
     w = complex(w)
-    if abs(w) >= 1.0:
-        raise ValueError(f"|w| must be < 1, got |w|={abs(w)}")
-    ops = build_generators(spec)
-    M = z * ops.adag + w * ops.Kp
-    term = cyclic_vector(spec).psi.copy()
-    acc = term.copy()
-    for j in range(1, spec.dim + 1):
-        term = (M @ term) / j
-        if not np.any(term):
-            break
-        acc += term
-    _check_tail(acc, "coherent_vector")
-    return StateVector(acc)
+    _check_disk(w)
+    psi = _ladder_amplitudes(z, w, 1.0, spec.dim)
+    if spec.sector == "odd":
+        psi = _raise_once(psi)
+    _check_tail(psi, "coherent_vector")
+    return StateVector(psi)
 
 
 def _expm_skew(hermitian_generator: np.ndarray) -> np.ndarray:
@@ -216,9 +259,8 @@ def displacement_matrix(alpha: complex, spec: FockBasisSpec) -> np.ndarray:
 def squeeze_matrix(w: complex, spec: FockBasisSpec) -> np.ndarray:
     """Unitary S(w) = exp(ζ·K₊ − ζ̄·K₋) with ζ = artanh|w|·(w/|w|), |w| < 1."""
     w = complex(w)
+    _check_disk(w)
     s = abs(w)
-    if s >= 1.0:
-        raise ValueError(f"|w| must be < 1, got |w|={s}")
     if s == 0.0:
         zeta = 0.0 + 0.0j
     else:
@@ -228,10 +270,24 @@ def squeeze_matrix(w: complex, spec: FockBasisSpec) -> np.ndarray:
 
 
 def chart_state_vector(alpha: complex, w: complex, phi: float, spec: FockBasisSpec) -> StateVector:
-    """e^{−iφ}·D(α)·S(w) applied to the cyclic vector, tail-checked."""
-    psi = displacement_matrix(alpha, spec) @ (squeeze_matrix(w, spec) @ cyclic_vector(spec).psi)
+    """e^{−iφ}·D(α)·S(w) applied to the cyclic vector, tail-checked.
+
+    With z = α − w·ᾱ and k the sector's Bargmann index, this is
+    (1−|w|²)^k·e^{−ᾱz/2}·e^{−iφ}·e_{z,w} in the even sector and the same
+    prefactor times (a† − ᾱ)·e_{z,w} in the odd one (e_{z,w} from |0⟩).  A
+    state too far out for the basis underflows the prefactor and raises
+    :class:`TruncationError` as a zero vector.
+    """
+    alpha = complex(alpha)
+    w = complex(w)
+    _check_disk(w)
+    z = alpha - w * alpha.conjugate()
+    lead = (1.0 - abs(w) ** 2) ** spec.k.k * cmath.exp(-0.5 * alpha.conjugate() * z - 1j * float(phi))
+    psi = _ladder_amplitudes(z, w, lead, spec.dim)
+    if spec.sector == "odd":
+        psi = _raise_once(psi) - alpha.conjugate() * psi
     _check_tail(psi, "chart_state_vector")
-    return StateVector(np.exp(-1j * float(phi)) * psi)
+    return StateVector(psi)
 
 
 # --- Hamiltonians and propagation --------------------------------------------------

@@ -23,6 +23,7 @@ build produce byte-identical files.
 from __future__ import annotations
 
 import bisect
+import cmath
 import functools
 import json
 import math
@@ -64,6 +65,7 @@ __all__ = [
     "RK45_ATOL",
     "RK45_RTOL",
     "DEFAULT_TOLERANCES",
+    "FOCK_DIM_MAX",
     "ConfigError",
     "InvariantViolation",
     "StepUnderflowError",
@@ -77,6 +79,10 @@ __all__ = [
 GRID_STEPS_MAX = 10**7
 RK45_ATOL = 1e-10
 RK45_RTOL = 1e-8
+
+#: largest accepted ``fock.dim``: each dense dim × dim complex matrix then
+#: takes 16 MiB, and one oracle run holds about ten of them
+FOCK_DIM_MAX = 1024
 
 #: compare/oracle gate defaults (overridable per config)
 DEFAULT_TOLERANCES = {"state": 1e-8, "phase": 1e-6, "fidelity": 1.0 - 1e-6}
@@ -342,6 +348,8 @@ def _req(obj: Any, key: str, path: str) -> Any:
 
 
 def _as_float(val: Any, path: str) -> float:
+    if isinstance(val, bool):
+        raise ConfigError(path, f"expected a number, got {val!r}")
     try:
         x = float(val)
     except (TypeError, ValueError, OverflowError):
@@ -463,9 +471,10 @@ class ExperimentConfig:
             fobj = obj["fock"]
             if not isinstance(fobj, dict):
                 raise ConfigError("config.fock", "expected an object")
-            fock_dim = int(_as_float(_req(fobj, "dim", "config.fock"), "config.fock.dim"))
-            if fock_dim < 2:
-                raise ConfigError("config.fock.dim", "dim must be >= 2")
+            dim = _as_float(_req(fobj, "dim", "config.fock"), "config.fock.dim")
+            if not (dim.is_integer() and 2 <= dim <= FOCK_DIM_MAX):
+                raise ConfigError("config.fock.dim", f"expected an integer from 2 to {FOCK_DIM_MAX}, got {dim!r}")
+            fock_dim = int(dim)
             if abs(k.k - 0.25) > 1e-12:
                 raise ConfigError("config.fock", "the direct oracle realizes k=0.25 only")
             if ball_form:
@@ -853,18 +862,20 @@ def _lane_riccati(cfg: ExperimentConfig) -> Trajectory:
     )
 
 
-def _fock_fidelity_series(cfg: ExperimentConfig, traj: Trajectory) -> np.ndarray:
-    """Fidelity of e^{−iφ}D(α)S(w)|0⟩ against direct propagation at ≤11 samples.
+def _fock_fidelity_series(cfg: ExperimentConfig, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Fidelity and phase of e^{−iφ}D(α)S(w)|0⟩ against direct propagation at ≤11 samples.
 
-    The direct propagation takes the same segment cuts as the lanes and
-    diagonalizes each segment's H once.  NaN marks samples that were not
-    checked.
+    Returns |⟨ψ_direct, ψ_closed⟩| over the two norms and arg⟨ψ_direct, ψ_closed⟩,
+    which is zero when φ is the quantum phase.  The direct propagation takes
+    the same segment cuts as the lanes and diagonalizes each segment's H
+    once.  NaN marks samples that were not checked.
     """
     assert cfg.fock_dim is not None
     spec = FockBasisSpec(dim=cfg.fock_dim, sector="even")
     times = traj.times
     idx = np.unique(np.linspace(0, times.size - 1, min(11, times.size)).astype(int))
-    out = np.full(times.size, np.nan)
+    fidelity = np.full(times.size, np.nan)
+    phase = np.full(times.size, np.nan)
     eigen: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     eta0, w0 = cfg.scalar_initial_fc()
@@ -884,10 +895,10 @@ def _fock_fidelity_series(cfg: ExperimentConfig, traj: Trajectory) -> np.ndarray
         t_prev = t_j
         eta, w = complex(traj.states[j, 0]), complex(traj.states[j, 1])
         psi_cs = chart_state_vector(eta, w, phi_wn[j], spec)
-        out[j] = abs(complex(np.vdot(psi, psi_cs.psi))) / (
-            float(np.linalg.norm(psi)) * psi_cs.norm
-        )
-    return out
+        overlap = complex(np.vdot(psi, psi_cs.psi))
+        fidelity[j] = abs(overlap) / (float(np.linalg.norm(psi)) * psi_cs.norm)
+        phase[j] = cmath.phase(overlap)
+    return fidelity, phase
 
 
 _LANES: dict[str, Callable[[ExperimentConfig], Trajectory]] = {
@@ -1040,8 +1051,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Any]:
     else:
         traj = _LANES[cfg.method](cfg)
     if cfg.fock_dim is not None and cfg.method in ("compare-all", "fock-oracle"):
-        fid = _fock_fidelity_series(cfg, traj)
-        extra["fock"] = {"dim": cfg.fock_dim, "fidelity_min": float(np.nanmin(fid))}
+        fid, phase = _fock_fidelity_series(cfg, traj)
+        extra["fock"] = {
+            "dim": cfg.fock_dim,
+            "fidelity_min": float(np.nanmin(fid)),
+            "phase_max": float(np.nanmax(np.abs(phase))),
+        }
 
     report = _build_report(cfg, traj, extra)
     if cfg.csv_path:
@@ -1064,6 +1079,9 @@ def tolerance_failures(cfg: ExperimentConfig, report: dict[str, Any]) -> list[st
     if "phase_bridge_max" in report and not report["phase_bridge_max"] <= tol["phase"]:
         failures.append(f"phase bridge residual {report['phase_bridge_max']:.3e} > {tol['phase']:.1e}")
     fock = report.get("fock")
-    if fock is not None and not fock["fidelity_min"] >= tol["fidelity"]:
-        failures.append(f"fock fidelity {fock['fidelity_min']:.9f} < {tol['fidelity']:.9f}")
+    if fock is not None:
+        if not fock["fidelity_min"] >= tol["fidelity"]:
+            failures.append(f"fock fidelity {fock['fidelity_min']:.9f} < {tol['fidelity']:.9f}")
+        if not fock["phase_max"] <= tol["phase"]:
+            failures.append(f"fock phase {fock['phase_max']:.3e} > {tol['phase']:.1e}")
     return failures

@@ -3,11 +3,14 @@
 Truncation corrupts the top of the ladder, so operator identities are asserted
 on masked blocks and factorization identities on low-occupation vectors; see
 the matrix-level composition counterexample in test_displacement_composition.
+The closed-form coherent vectors are held to the dense D(α)·S(w) built by
+eigendecomposition, in both parity sectors.
 """
 
 import numpy as np
 import pytest
 
+from sjdyn import fockoracle
 from sjdyn.algebra import ComplexCoefficients, displacement_phase
 from sjdyn.geometry import BargmannIndex, JacobiPoint, overlap_log
 from sjdyn.fockoracle import (
@@ -85,6 +88,36 @@ def test_operator_set_invariants():
     assert np.allclose(ops.K0, 0.25 * (2 * ops.adag @ ops.a + ops.Id), atol=1e-15, rtol=0)
 
 
+def _generators_by_matmul(dim):
+    # the products that define the one-mode K's, as a dense reference
+    a = np.zeros((dim, dim), dtype=complex)
+    for m in range(1, dim):
+        a[m - 1, m] = np.sqrt(m)
+    adag = a.conj().T
+    return {
+        "a": a,
+        "adag": adag,
+        "Kp": 0.5 * (adag @ adag),
+        "Km": 0.5 * (a @ a),
+        "K0": 0.25 * (2.0 * (adag @ a) + np.eye(dim)),
+        "Id": np.eye(dim, dtype=complex),
+    }
+
+
+@pytest.mark.parametrize("dim", [2, 60, 250])
+def test_generators_equal_the_matmul_construction(dim):
+    spec = FockBasisSpec(dim=dim, sector="even")
+    ops = build_generators(spec)
+    for name, want in _generators_by_matmul(dim).items():
+        assert np.array_equal(getattr(ops, name), want), name
+    # so the Hamiltonian, and every diagonalization of it, is unchanged bit for bit
+    c = ComplexCoefficients(eps_a=0.3 - 0.1j, eps_0=0.8, eps_plus=0.2 + 0.4j)
+    ref = _generators_by_matmul(dim)
+    H = c.eps_a * ref["a"] + c.eps_a.conjugate() * ref["adag"] + c.eps_0 * ref["K0"]
+    H = H + c.eps_plus * ref["Kp"] + c.eps_minus * ref["Km"]
+    assert hamiltonian_matrix(c, spec).tobytes() == np.ascontiguousarray(H).tobytes()
+
+
 def test_bracket_table_masked():
     # products leak into the top two levels; mask them off and demand exactness
     ops = build_generators(EVEN60)
@@ -153,6 +186,79 @@ def test_coherent_vector_factorization():
             * coherent_vector(z, w, EVEN200).psi
         )
         assert np.max(np.abs(lhs - rhs)) < VECTOR_TOL
+
+
+def _draw_alpha_w(rng):
+    alpha = 0.8 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+    w = 0.4 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+    return complex(alpha), complex(w)
+
+
+@pytest.mark.parametrize("dim, bound", [(60, 1e-10), (120, 1e-12), (240, 1e-12)])
+@pytest.mark.parametrize("sector", ["even", "odd"])
+def test_closed_form_matches_dense_displaced_squeezed_state(dim, bound, sector):
+    # at dim 60 the dense route's own truncation is the less exact of the two
+    spec = FockBasisSpec(dim=dim, sector=sector)
+    even = FockBasisSpec(dim=dim, sector="even")
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        alpha, w = _draw_alpha_w(rng)
+        dense = displacement_matrix(alpha, spec) @ squeeze_matrix(w, spec) @ cyclic_vector(spec).psi
+        assert np.max(np.abs(chart_state_vector(alpha, w, 0.0, spec).psi - dense)) <= bound
+        # D(α)S(w)|k⟩ = (1−|w|²)^k·e^{−ᾱz/2}·e_{z,w} (even), ·(a† − ᾱ)·e_{z,w} (odd)
+        z = alpha - w * np.conj(alpha)
+        lead = (1 - abs(w) ** 2) ** spec.k.k * np.exp(-0.5 * np.conj(alpha) * z)
+        closed = coherent_vector(z, w, spec).psi
+        if sector == "odd":
+            closed = closed - np.conj(alpha) * coherent_vector(z, w, even).psi
+        assert np.max(np.abs(lead * closed - dense)) <= bound
+
+
+def test_closed_form_coherent_states_build_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix work in a closed-form coherent state")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(fockoracle, "build_generators", refuse)
+    for sector in ("even", "odd"):
+        spec = FockBasisSpec(dim=240, sector=sector)
+        chart_state_vector(0.3 + 0.1j, 0.2j, 0.7, spec)
+        coherent_vector(0.3 + 0.1j, 0.2j, spec)
+
+
+def test_chart_state_vector_far_out_is_truncation_error():
+    # e^{−|α|²/2} underflows to zero: the state does not fit 60 levels
+    with pytest.raises(TruncationError, match="zero vector"):
+        chart_state_vector(40.0, 0.0, 0.0, EVEN60)
+
+
+@pytest.mark.parametrize("sector", ["even", "odd"])
+@pytest.mark.parametrize(
+    "alpha, w", [(complex("nan"), 0.1j), (complex(0.0, np.nan), 0j), (0.2, complex("nan")), (0.2, complex(0.1, np.inf))]
+)
+def test_nonfinite_point_raises_and_returns_no_vector(sector, alpha, w):
+    spec = FockBasisSpec(dim=60, sector=sector)
+    with pytest.raises((ValueError, TruncationError)):
+        chart_state_vector(alpha, w, 0.0, spec)
+    with pytest.raises((ValueError, TruncationError)):
+        coherent_vector(alpha, w, spec)
+
+
+def test_squeeze_matrix_rejects_nonfinite_w():
+    for w in (complex("nan"), complex(0.1, np.inf)):
+        with pytest.raises(ValueError, match="must be < 1"):
+            squeeze_matrix(w, EVEN60)
+
+
+def test_tail_guard_rejects_nonfinite_amplitudes():
+    psi = np.zeros(30, complex)
+    psi[0] = 1.0
+    for bad in (np.nan, np.inf):
+        psi[3] = bad
+        with pytest.raises(TruncationError, match="non-finite"):
+            fockoracle._check_tail(psi, "test")
+    with pytest.raises(TruncationError, match="non-finite"):
+        coherent_vector(1e200, 0.5, FockBasisSpec(dim=30, sector="even"))
 
 
 def test_coherent_vector_truncation_guard():

@@ -6,6 +6,7 @@ convergence rate and the guard/underflow failure modes on synthetic
 right-hand sides before any physics enters.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from sjdyn.weinorman import conjugation_dictionary
 from conftest import rk4
 from sjdyn.runner import (
     DEFAULT_TOLERANCES,
+    FOCK_DIM_MAX,
     ConfigError,
     ExperimentConfig,
     InvariantViolation,
@@ -287,6 +289,12 @@ def test_fock_oracle_dimension_defaults():
     assert ExperimentConfig.from_json(scalar_config()).fock_dim is None
 
 
+def test_fock_dimension_is_an_integer_up_to_the_bound():
+    for dim in (250, 250.0, "250", FOCK_DIM_MAX):
+        parsed = ExperimentConfig.from_json(scalar_config(method="fock-oracle", fock={"dim": dim}))
+        assert parsed.fock_dim == int(float(dim)) and type(parsed.fock_dim) is int
+
+
 def test_schedule_segments_select_by_strict_until():
     cfg = scalar_config(grid={"t0": 0.0, "t1": 0.4, "step": 1e-3})
     del cfg["coefficients"]
@@ -413,6 +421,24 @@ def test_ball_initial_matrix_chart():
         pytest.param(
             lambda c: c.update(method="fock-oracle", fock={"dim": "inf"}), "config.fock.dim", id="fock-dim-inf"
         ),
+        pytest.param(
+            lambda c: c.update(method="fock-oracle", fock={"dim": 2.7}), "config.fock.dim", id="fock-dim-fraction"
+        ),
+        pytest.param(
+            lambda c: c.update(method="fock-oracle", fock={"dim": 1e12}), "config.fock.dim", id="fock-dim-huge"
+        ),
+        pytest.param(
+            lambda c: c.update(method="fock-oracle", fock={"dim": FOCK_DIM_MAX + 1}),
+            "config.fock.dim",
+            id="fock-dim-above-bound",
+        ),
+        pytest.param(
+            lambda c: c.update(method="fock-oracle", fock={"dim": True}), "config.fock.dim", id="fock-dim-bool"
+        ),
+        pytest.param(lambda c: c["grid"].update(t1=True), "config.grid.t1", id="grid-t1-bool"),
+        pytest.param(lambda c: c.update(k=True), "config.k", id="k-bool"),
+        pytest.param(lambda c: c.update(tolerances={"phase": False}), "config.tolerances.phase", id="tolerance-bool"),
+        pytest.param(lambda c: c["initial"].update(w=[True, 0.0]), "config.initial.w", id="w-bool"),
         pytest.param(lambda c: c.update(output={"csv": 3}), "config.output.csv", id="output-csv-type"),
         pytest.param(lambda c: c.update(output={"report": ["r.json"]}), "config.output.report", id="output-report-type"),
         pytest.param(
@@ -552,6 +578,8 @@ def test_fock_oracle_reports_fidelity():
     rep = run_experiment(ExperimentConfig.from_json(cfg))
     assert rep["fock"]["dim"] == 150
     assert rep["fock"]["fidelity_min"] >= 1.0 - 1e-6
+    # the closed-form state carries the quantum phase, not only the ray
+    assert rep["fock"]["phase_max"] < 1e-10
 
 
 def test_adaptive_lane_conserves_energy():
@@ -684,13 +712,40 @@ def test_schedule_sample_on_segment_end_uses_next_segment_energy():
 
 
 def test_fock_oracle_diagonalizes_each_segment_once(monkeypatch):
-    built = []
-    real = runner.hamiltonian_matrix
-    monkeypatch.setattr(runner, "hamiltonian_matrix", lambda c, spec: built.append(c) or real(c, spec))
+    # the coherent states come from their closed form; only the direct
+    # propagation builds H and diagonalizes it, once per segment
+    built, diagonalized = [], []
+    real_h, real_eigh = runner.hamiltonian_matrix, np.linalg.eigh
+    monkeypatch.setattr(runner, "hamiltonian_matrix", lambda c, spec: built.append(c) or real_h(c, spec))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: diagonalized.append(1) or real_eigh(*a, **kw))
     cfg = two_segment_config("fock-oracle", 1e-3, 1.0003, fock={"dim": 120})
     rep = run_experiment(ExperimentConfig.from_json(cfg))
-    assert len(built) == 2
-    assert rep["fock"]["fidelity_min"] >= 1.0 - 1e-6
+    assert len(built) == 2 and len(diagonalized) == 2
+    assert rep["fock"]["fidelity_min"] >= 1.0 - 1e-6 and rep["fock"]["phase_max"] < 1e-10
+
+
+def _shift_phi_wn(monkeypatch, offset):
+    lane = runner._lane_wei_norman
+
+    def shifted(cfg):
+        traj = lane(cfg)
+        diagnostics = dict(traj.diagnostics, phi_wn=traj.diagnostics["phi_wn"] + offset)
+        return dataclasses.replace(traj, diagnostics=diagnostics)
+
+    monkeypatch.setattr(runner, "_lane_wei_norman", shifted)
+
+
+def test_fock_oracle_gates_the_phase(tmp_path, capsys, monkeypatch):
+    # a wrong φ leaves |overlap| at 1; only arg⟨ψ_direct, ψ_closed⟩ sees it
+    _shift_phi_wn(monkeypatch, 0.3)
+    cfg = scalar_config(method="fock-oracle", fock={"dim": 120})
+    rep = run_experiment(ExperimentConfig.from_json(cfg))
+    assert rep["fock"]["fidelity_min"] >= 1.0 - 1e-12
+    assert rep["fock"]["phase_max"] == pytest.approx(0.3, abs=1e-9)
+    assert cli.main(["oracle", "--config", write_config(tmp_path, "phase.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "fock phase max 3.000e-01" in captured.out
+    assert "FAIL fock phase 3.000e-01 > 1.0e-06" in captured.err
 
 
 # --- non-finite values never pass a guard or a gate ------------------------------------
@@ -718,9 +773,19 @@ def test_tolerance_gates_fail_on_nan():
     cfg = ExperimentConfig.from_json(scalar_config())
     nan = float("nan")
     failures = tolerance_failures(
-        cfg, {"comparisons": {"x|y": nan}, "phase_bridge_max": nan, "fock": {"dim": 5, "fidelity_min": nan}}
+        cfg,
+        {
+            "comparisons": {"x|y": nan},
+            "phase_bridge_max": nan,
+            "fock": {"dim": 5, "fidelity_min": nan, "phase_max": nan},
+        },
     )
-    assert [f.split(" ")[0] for f in failures] == ["state", "phase", "fock"]
+    assert [" ".join(f.split(" ")[:2]) for f in failures] == [
+        "state deviation",
+        "phase bridge",
+        "fock fidelity",
+        "fock phase",
+    ]
 
 
 def test_nonfinite_coefficients_are_rejected_at_construction():
@@ -787,14 +852,16 @@ def test_tolerance_failures_format_and_gate():
     bad = {
         "comparisons": {"x|y": 1e-3},
         "phase_bridge_max": 1.0,
-        "fock": {"dim": 5, "fidelity_min": 0.5},
+        "fock": {"dim": 5, "fidelity_min": 0.5, "phase_max": 2e-6},
     }
     assert tolerance_failures(cfg, bad) == [
         "state deviation x|y: 1.000e-03 > 1.0e-08",
         "phase bridge residual 1.000e+00 > 1.0e-06",
         "fock fidelity 0.500000000 < 0.999999000",
+        "fock phase 2.000e-06 > 1.0e-06",
     ]
     assert tolerance_failures(cfg, {"samples": 3}) == []
+    assert tolerance_failures(cfg, {"fock": {"dim": 5, "fidelity_min": 1.0, "phase_max": 1e-6}}) == []
 
 
 # --- command line ------------------------------------------------------------------
@@ -951,6 +1018,24 @@ def test_any_top_level_field_parses_or_raises_config_error(base, key, value):
     except ConfigError:
         return
     assert isinstance(parsed, ExperimentConfig)
+    # a boolean is never a number
+    assert not (key == "k" and isinstance(value, bool))
+    if parsed.fock_dim is not None:
+        assert type(parsed.fock_dim) is int and 2 <= parsed.fock_dim <= FOCK_DIM_MAX
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=JSON_VALUES | st.floats(min_value=-10.0, max_value=3000.0) | st.integers(-10, 3000))
+def test_any_fock_dim_is_a_bounded_integer_or_config_error(dim):
+    cfg = scalar_config(method="fock-oracle", fock={"dim": dim})
+    try:
+        parsed = ExperimentConfig.from_json(cfg)
+    except ConfigError as exc:
+        assert "config.fock.dim" in str(exc)
+        return
+    assert not isinstance(dim, bool)
+    assert type(parsed.fock_dim) is int and 2 <= parsed.fock_dim <= FOCK_DIM_MAX
+    assert parsed.fock_dim == float(dim)
 
 
 def test_version_matches_pyproject():
