@@ -1,4 +1,4 @@
-"""Truncated Fock-space oracle: dense matrices, direct propagation, fidelity.
+"""Truncated Fock-space oracle: dense matrices, states, direct propagation.
 
 The direct propagation is brute force on purpose.  The six generators are
 explicit dim×dim matrices in the number basis, with the su(1,1) triple
@@ -9,8 +9,11 @@ realized on a single bosonic mode:
 The realization splits into parity sectors with lowest K₀ eigenvalue
 k = ¼ (even, cyclic vector |0⟩) or k = ¾ (odd, cyclic vector |1⟩).  The
 closed-form machinery elsewhere in the package is checked against direct
-Schrödinger integration: each Hamiltonian is diagonalized densely, with no
-shared code paths with the things being checked.
+Schrödinger integration: each Hamiltonian is diagonalized densely, and
+:func:`propagate` is that diagonalization and nothing else.  This module
+imports none of the equations of motion it checks (no ``weinorman``,
+``berezin`` or ``runner``); the cross-check itself, with its fidelity and
+phase, is the runner's ``fock-oracle`` method (``runner.solution_fidelity``).
 
 The coherent states themselves come from their closed form, not from dense
 matrix exponentials.  exp(z·a† + w·K₊)|0⟩ has number-basis amplitudes
@@ -37,19 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ComplexCoefficients, coeffs_to_real
+from .algebra import ComplexCoefficients
 from .geometry import BargmannIndex
-from .weinorman import RealState, wn_phase_rhs, wn_rhs
 
 __all__ = [
     "TAIL_LEVELS",
     "TAIL_MASS_MAX",
-    "NORM_DRIFT_MAX",
     "FockBasisSpec",
     "OperatorSet",
     "StateVector",
     "TruncationError",
-    "NormDriftError",
     "build_generators",
     "cyclic_vector",
     "coherent_vector",
@@ -59,23 +59,16 @@ __all__ = [
     "hamiltonian_matrix",
     "propagate",
     "expectation",
-    "solution_fidelity",
 ]
 
 #: size of the top-of-basis window used for truncation adequacy
 TAIL_LEVELS = 10
 #: maximum tail mass relative to total mass
 TAIL_MASS_MAX = 1e-10
-#: maximum allowed norm drift in RK4 propagation
-NORM_DRIFT_MAX = 1e-8
 
 
 class TruncationError(RuntimeError):
     """The truncated basis cannot represent this state adequately."""
-
-
-class NormDriftError(RuntimeError):
-    """Propagation lost unitarity; the step is too large."""
 
 
 @dataclass(frozen=True)
@@ -312,47 +305,12 @@ def _require_hermitian(H: np.ndarray) -> None:
         raise ValueError(f"H not hermitian: residual {resid:.3e}")
 
 
-def propagate(
-    psi0: StateVector,
-    H: np.ndarray,
-    t: float,
-    steps: int | None = None,
-    *,
-    method: str | None = None,
-) -> StateVector:
-    """Solve i·ψ̇ = H·ψ for constant hermitian H over time t.
-
-    method "expm" (default when steps is None) diagonalizes H once;
-    method "rk4" takes the given number of fixed steps and raises
-    :class:`NormDriftError` if the norm drifts by more than
-    :data:`NORM_DRIFT_MAX`.
-    """
+def propagate(psi0: StateVector, H: np.ndarray, t: float) -> StateVector:
+    """Solve i·ψ̇ = H·ψ for constant hermitian H over time t by diagonalizing H once."""
     H = np.asarray(H, dtype=complex)
     _require_hermitian(H)
-    t = float(t)
-    if method is None:
-        method = "expm" if steps is None else "rk4"
-    if method == "expm":
-        vals, vecs = np.linalg.eigh(H)
-        psi = (vecs * np.exp(-1j * vals * t)) @ (vecs.conj().T @ psi0.psi)
-        return StateVector(psi)
-    if method != "rk4":
-        raise ValueError(f"unknown method {method!r}")
-    if not steps or int(steps) < 1:
-        raise ValueError("rk4 propagation requires steps >= 1")
-    n = int(steps)
-    h = t / n
-    psi = psi0.psi.astype(complex).copy()
-    norm0 = float(np.linalg.norm(psi))
-    for _ in range(n):
-        k1 = -1j * (H @ psi)
-        k2 = -1j * (H @ (psi + 0.5 * h * k1))
-        k3 = -1j * (H @ (psi + 0.5 * h * k2))
-        k4 = -1j * (H @ (psi + h * k3))
-        psi += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    drift = abs(float(np.linalg.norm(psi)) - norm0)
-    if drift > NORM_DRIFT_MAX:
-        raise NormDriftError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_MAX:.1e}; reduce step")
+    vals, vecs = np.linalg.eigh(H)
+    psi = (vecs * np.exp(-1j * vals * float(t))) @ (vecs.conj().T @ psi0.psi)
     return StateVector(psi)
 
 
@@ -361,59 +319,3 @@ def expectation(psi: StateVector, M: np.ndarray) -> complex:
     num = complex(np.vdot(psi.psi, M @ psi.psi))
     den = float(np.vdot(psi.psi, psi.psi).real)
     return num / den
-
-
-# --- the main cross-check -----------------------------------------------------------
-
-
-def solution_fidelity(
-    c: ComplexCoefficients,
-    s0: RealState,
-    t: float,
-    spec: FockBasisSpec,
-    *,
-    step: float = 1e-3,
-) -> float:
-    """|⟨ψ_direct(t), ψ_closed(t)⟩| for the closed-form solution e^{−iφ}D(α)S(w)|0⟩.
-
-    ψ_direct integrates the Schrödinger equation from D(α₀)S(w₀)|0⟩ by
-    diagonalization; (α, w, φ)(t) integrate the real equations of motion and
-    phase with k = ¼ by fixed-step RK4.  Truncation adequacy is enforced at
-    eleven sample times along the direct trajectory and on the closed-form
-    state; inadequate truncation raises :class:`TruncationError`.
-    """
-    if spec.sector != "even":
-        raise ValueError("solution_fidelity uses the even sector (k=1/4)")
-    t = float(t)
-    rc = coeffs_to_real(c)
-    k = spec.k
-
-    psi0 = chart_state_vector(s0.alpha, s0.w, 0.0, spec)
-    H = hamiltonian_matrix(c, spec)
-    vals, vecs = np.linalg.eigh(H)
-    coeffs0 = vecs.conj().T @ psi0.psi
-    for ti in np.linspace(0.0, t, 11):
-        psi_i = (vecs * np.exp(-1j * vals * ti)) @ coeffs0
-        _check_tail(psi_i, f"solution_fidelity at t={ti:.3f}")
-    psi_direct = (vecs * np.exp(-1j * vals * t)) @ coeffs0
-
-    # real equations of motion, co-integrated with the phase
-    y = np.array([s0.x, s0.y, s0.u, s0.v, 0.0])
-
-    def rhs(yv: np.ndarray) -> np.ndarray:
-        st = RealState(x=yv[0], y=yv[1], u=yv[2], v=yv[3])
-        dx, dy, du, dv = wn_rhs(rc, st)
-        return np.array([dx, dy, du, dv, wn_phase_rhs(rc, st, k)])
-
-    n_steps = max(1, int(np.ceil(abs(t) / step))) if t else 0
-    h = t / n_steps if n_steps else 0.0
-    for _ in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    psi_cs = chart_state_vector(complex(y[0], y[1]), complex(y[2], y[3]), y[4], spec)
-    overlap = abs(complex(np.vdot(psi_direct, psi_cs.psi)))
-    return overlap / (float(np.linalg.norm(psi_direct)) * psi_cs.norm)

@@ -50,7 +50,7 @@ from .berezin import (
     _rhs_fc_raw,
     hc_matrix,
 )
-from .fockoracle import FockBasisSpec, chart_state_vector, hamiltonian_matrix
+from .fockoracle import FockBasisSpec, _check_tail, chart_state_vector, hamiltonian_matrix
 from .geometry import BargmannIndex, _ball_margin
 from .weinorman import (
     RealState,
@@ -74,6 +74,7 @@ __all__ = [
     "ExperimentConfig",
     "integrate",
     "run_experiment",
+    "solution_fidelity",
 ]
 
 GRID_STEPS_MAX = 10**7
@@ -760,12 +761,15 @@ def _unpack_ball(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ball_guard_factory(n: int) -> Guard:
+    """Ball guard; keeps the margin it checked as ``guard.margin``, which the
+    lane's observer, called next at the same sample, reports."""
+
     def guard(t: float, y: np.ndarray) -> None:
         _, W = _unpack_ball(y, n)
         sym = float(np.max(np.abs(W - W.T)))
         if not sym <= 1e-8:
             raise InvariantViolation(f"W symmetry drifted to {sym:.3e}")
-        margin = _ball_margin(0.5 * (W + W.T))
+        margin = guard.margin = _ball_margin(0.5 * (W + W.T))
         if not margin > 0.0:
             raise InvariantViolation(f"ball margin reached {margin:.3e}")
 
@@ -784,10 +788,11 @@ def _lane_berezin_ball(cfg: ExperimentConfig) -> Trajectory:
     z0, W0 = cfg.ball_initial()
     n = z0.size
     y0 = _pack_ball(z0, W0)
+    guard = _ball_guard_factory(n)
 
     def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, PhaseRecord, dict[str, float]]:
         z, W = _unpack_ball(y, n)
-        return _ball_row(z, W), _NAN_PHASE, {"margin": _ball_margin(0.5 * (W + W.T))}
+        return _ball_row(z, W), _NAN_PHASE, {"margin": guard.margin}
 
     def segment(c: ComplexCoefficients | BallCoefficients) -> tuple[Callable, Observer]:
         bc = _ball_coefficients(c)
@@ -799,7 +804,7 @@ def _lane_berezin_ball(cfg: ExperimentConfig) -> Trajectory:
 
         return rhs, observer
 
-    return _integrate_lane(cfg, segment, y0, "ball", _ball_guard_factory(n))
+    return _integrate_lane(cfg, segment, y0, "ball", guard)
 
 
 def _lane_riccati(cfg: ExperimentConfig) -> Trajectory:
@@ -868,7 +873,8 @@ def _fock_fidelity_series(cfg: ExperimentConfig, traj: Trajectory) -> tuple[np.n
     Returns |⟨ψ_direct, ψ_closed⟩| over the two norms and arg⟨ψ_direct, ψ_closed⟩,
     which is zero when φ is the quantum phase.  The direct propagation takes
     the same segment cuts as the lanes and diagonalizes each segment's H
-    once.  NaN marks samples that were not checked.
+    once; its state is tail-checked at every checked sample, before the
+    closed-form state is.  NaN marks samples that were not checked.
     """
     assert cfg.fock_dim is not None
     spec = FockBasisSpec(dim=cfg.fock_dim, sector="even")
@@ -893,6 +899,7 @@ def _fock_fidelity_series(cfg: ExperimentConfig, traj: Trajectory) -> tuple[np.n
             vals, vecs = eigen[s]
             psi = (vecs * np.exp(-1j * vals * (b - a))) @ (vecs.conj().T @ psi)
         t_prev = t_j
+        _check_tail(psi, f"direct propagation at t={t_j:.6g}")
         eta, w = complex(traj.states[j, 0]), complex(traj.states[j, 1])
         psi_cs = chart_state_vector(eta, w, phi_wn[j], spec)
         overlap = complex(np.vdot(psi, psi_cs.psi))
@@ -1067,6 +1074,39 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Any]:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return report
+
+
+def solution_fidelity(
+    c: ComplexCoefficients,
+    s0: RealState,
+    t: float,
+    spec: FockBasisSpec,
+    *,
+    step: float = 1e-3,
+) -> tuple[float, float]:
+    """(fidelity, phase) of the closed-form e^{−iφ}D(α)S(w)|0⟩ against direct propagation.
+
+    Runs the ``fock-oracle`` method for the constant drive `c` from
+    (α₀, w₀) = s0 over [0, t] (t > 0) with grid step `step`, and returns the
+    report's ``fidelity_min`` and ``phase_max``.  Inadequate truncation raises
+    :class:`~sjdyn.fockoracle.TruncationError`.
+    """
+    if spec.sector != "even":
+        raise ValueError("solution_fidelity uses the even sector (k=1/4)")
+    grid = TimeGrid(0.0, t, step)
+    cfg = ExperimentConfig(
+        method="fock-oracle",
+        grid=grid,
+        segments=(_Segment(grid.t1, c),),
+        initial_chart="fc",
+        initial_state=np.array([s0.alpha, s0.w]),
+        n=1,
+        ball_form=False,
+        k=spec.k,
+        fock_dim=spec.dim,
+    )
+    fock = run_experiment(cfg)["fock"]
+    return fock["fidelity_min"], fock["phase_max"]
 
 
 def tolerance_failures(cfg: ExperimentConfig, report: dict[str, Any]) -> list[str]:

@@ -31,7 +31,6 @@ from sjdyn.fockoracle import (
     TruncationError,
     build_generators,
     coherent_vector,
-    solution_fidelity,
 )
 from sjdyn.geometry import (
     BargmannIndex,
@@ -41,6 +40,7 @@ from sjdyn.geometry import (
     fc_inverse,
     overlap_log,
 )
+from sjdyn.runner import solution_fidelity
 from sjdyn.weinorman import (
     RealState,
     WNParameters,
@@ -273,7 +273,7 @@ def test_closed_form_solution_matches_fock_propagation():
     tic = time.perf_counter()
     rng = np.random.default_rng(2017)
     spec = FockBasisSpec(dim=400, sector="even")
-    fidelities = []
+    fidelities, phases = [], []
     attempts = 0
     while len(fidelities) < 10:
         attempts += 1
@@ -281,13 +281,17 @@ def test_closed_form_solution_matches_fock_propagation():
         c = coeffs_from_real(bounded_real_coeffs(rng))
         s0 = interior_state(rng, w_radius=0.3, a_radius=0.5)
         try:
-            fidelities.append(solution_fidelity(c, s0, 3.0, spec))
+            fidelity, phase = solution_fidelity(c, s0, 3.0, spec)
         except TruncationError:
             continue
+        fidelities.append(fidelity)
+        phases.append(phase)
     dt = time.perf_counter() - tic
-    lo = min(fidelities)
-    print(f"\n[criterion 08] fock oracle: 10 sets, min fidelity {lo:.12f} (>=1-1e-6), {dt:.1f}s")
+    lo, hi = min(fidelities), max(phases)
+    print(f"\n[criterion 08] fock oracle: 10 sets, min fidelity {lo:.12f} (>=1-1e-6), "
+          f"max phase {hi:.3e} (<=1e-6), {dt:.1f}s")
     assert lo >= 1.0 - 1e-6
+    assert hi <= 1e-6
     assert dt < 120.0
 
 

@@ -7,15 +7,17 @@ The closed-form coherent vectors are held to the dense D(α)·S(w) built by
 eigendecomposition, in both parity sectors.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sjdyn import fockoracle
+from sjdyn import fockoracle, runner
 from sjdyn.algebra import ComplexCoefficients, displacement_phase
 from sjdyn.geometry import BargmannIndex, JacobiPoint, overlap_log
 from sjdyn.fockoracle import (
     FockBasisSpec,
-    NormDriftError,
     StateVector,
     TruncationError,
     build_generators,
@@ -26,11 +28,11 @@ from sjdyn.fockoracle import (
     expectation,
     hamiltonian_matrix,
     propagate,
-    solution_fidelity,
     squeeze_matrix,
 )
+from sjdyn.runner import solution_fidelity
 from sjdyn.weinorman import RealState
-from conftest import draw_complex, draw_scalar_coeffs
+from conftest import draw_complex, draw_scalar_coeffs, rk4
 
 MASKED_TOL = 1e-12
 UNITARITY_TOL = 1e-12
@@ -347,26 +349,19 @@ def test_propagate_rk4_matches_exponential():
     psi0 = coherent_vector(0.3 + 0.2j, 0.1 - 0.2j, spec)
     H = hamiltonian_matrix(c, spec)
     direct = propagate(psi0, H, 1.0)
-    stepped = propagate(psi0, H, 1.0, steps=2000, method="rk4")
-    assert np.max(np.abs(direct.psi - stepped.psi)) < VECTOR_TOL
-
-
-def test_propagate_norm_drift_guard():
-    spec = FockBasisSpec(dim=100, sector="even")
-    c = ComplexCoefficients(eps_a=0.4 - 0.3j, eps_0=0.8, eps_plus=0.2 + 0.5j)
-    psi0 = coherent_vector(0.3 + 0.2j, 0.1 - 0.2j, spec)
-    H = hamiltonian_matrix(c, spec)
-    with pytest.raises(NormDriftError, match="drift"):
-        propagate(psi0, H, 5.0, steps=3, method="rk4")
+    stepped = rk4(lambda _, psi: -1j * (H @ psi), psi0.psi, 0.0, 1.0, 2000)
+    assert np.max(np.abs(direct.psi - stepped)) < VECTOR_TOL
 
 
 def test_propagate_argument_validation():
     psi0 = cyclic_vector(EVEN60)
-    H = np.zeros((60, 60))
-    with pytest.raises(ValueError, match="method"):
-        propagate(psi0, H, 1.0, method="pade")
-    with pytest.raises(ValueError, match="steps"):
-        propagate(psi0, H, 1.0, method="rk4")
+    H = np.zeros((60, 60), dtype=complex)
+    H[0, 1] = 1.0
+    with pytest.raises(ValueError, match="hermitian"):
+        propagate(psi0, H, 1.0)
+    # diagonalization is the only method: no step count is accepted
+    with pytest.raises(TypeError):
+        propagate(psi0, H + H.conj().T, 1.0, steps=3)
 
 
 def test_expectation_normalizes():
@@ -378,17 +373,29 @@ def test_expectation_normalizes():
 
 
 def test_fidelity_free_evolution():
-    got = solution_fidelity(
+    fidelity, phase = solution_fidelity(
         ComplexCoefficients(0j, 0.0, 0j), RealState(0.2, -0.1, 0.1, 0.15), 1.0, EVEN200
     )
-    assert got == pytest.approx(1.0, abs=1e-12)
+    assert fidelity == pytest.approx(1.0, abs=1e-12)
+    assert phase <= 1e-12
 
 
 def test_fidelity_short_horizon():
     rng = np.random.default_rng(29)
     c = draw_scalar_coeffs(rng)
-    got = solution_fidelity(c, RealState(0.2, -0.1, 0.1, 0.15), 0.1, EVEN200)
-    assert got >= 1 - 1e-8
+    fidelity, phase = solution_fidelity(c, RealState(0.2, -0.1, 0.1, 0.15), 0.1, EVEN200)
+    assert fidelity >= 1 - 1e-8
+    assert phase <= 1e-6
+
+
+def test_fidelity_reports_a_phase_error_that_fidelity_misses(monkeypatch):
+    # φ off by 0.3 rad at t = 1 leaves |overlap| at 1; only the phase sees it
+    real = runner.wn_phase_rhs
+    monkeypatch.setattr(runner, "wn_phase_rhs", lambda rc, s, k: real(rc, s, k) + 0.3)
+    c = ComplexCoefficients(eps_a=0.3 - 0.1j, eps_0=0.8, eps_plus=0.2 + 0.4j)
+    fidelity, phase = solution_fidelity(c, RealState(0.2, -0.1, 0.1, 0.15), 1.0, FockBasisSpec(dim=80))
+    assert fidelity >= 1 - 1e-12
+    assert phase == pytest.approx(0.3, abs=1e-9)
 
 
 def test_fidelity_requires_even_sector():
@@ -399,3 +406,20 @@ def test_fidelity_requires_even_sector():
             0.1,
             FockBasisSpec(dim=200, sector="odd"),
         )
+
+
+# --- independence -------------------------------------------------------------------
+
+
+def test_oracle_imports_none_of_the_equations_it_checks():
+    # the brute-force layer shares no code path with the lanes it checks
+    tree = ast.parse(Path(fockoracle.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    assert "algebra" in names  # the scan sees the module's relative imports
+    assert not names & {"weinorman", "berezin", "runner"}

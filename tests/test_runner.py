@@ -19,6 +19,7 @@ import sjdyn
 from sjdyn import cli, runner
 from sjdyn.algebra import BallCoefficients, ComplexCoefficients
 from sjdyn.berezin import PhaseRecord, energy, rhs_fc
+from sjdyn.fockoracle import TruncationError
 from sjdyn.geometry import BargmannIndex, FCPoint
 from sjdyn.weinorman import conjugation_dictionary
 from conftest import rk4
@@ -722,6 +723,18 @@ def test_fock_oracle_diagonalizes_each_segment_once(monkeypatch):
     rep = run_experiment(ExperimentConfig.from_json(cfg))
     assert len(built) == 2 and len(diagonalized) == 2
     assert rep["fock"]["fidelity_min"] >= 1.0 - 1e-6 and rep["fock"]["phase_max"] < 1e-10
+
+
+def test_fock_oracle_tail_checks_the_direct_propagation(tmp_path, capsys):
+    # a squeezing drive fills the top of a 30-level basis; the directly
+    # propagated state is refused before its closed-form partner is built
+    squeeze = {"eps_a_re": 0.0, "eps_a_im": 0.0, "eps_0": 0.0, "eps_plus_re": 2.0, "eps_plus_im": 0.0}
+    cfg = scalar_config(method="fock-oracle", fock={"dim": 30}, coefficients=squeeze,
+                        initial={"chart": "fc", "eta": [0.0, 0.0], "w": [0.0, 0.0]})
+    with pytest.raises(TruncationError, match="direct propagation at t=.*tail mass"):
+        run_experiment(ExperimentConfig.from_json(cfg))
+    assert cli.main(["oracle", "--config", write_config(tmp_path, "tail.json", cfg)]) == 1
+    assert "run failed: direct propagation at t=" in capsys.readouterr().err
 
 
 def _shift_phi_wn(monkeypatch, offset):
