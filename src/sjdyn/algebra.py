@@ -161,17 +161,6 @@ class ComplexCoefficients:
             "eps_plus_im": self.eps_plus.imag,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "ComplexCoefficients":
-        try:
-            return cls(
-                eps_a=complex(obj["eps_a_re"], obj["eps_a_im"]),
-                eps_0=float(obj["eps_0"]),
-                eps_plus=complex(obj["eps_plus_re"], obj["eps_plus_im"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"missing coefficient key {exc}") from exc
-
 
 @dataclass(frozen=True)
 class RealCoefficients:
@@ -297,19 +286,6 @@ class BallCoefficients:
             "eps_plus": _matrix_to_json(self.eps_plus),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "BallCoefficients":
-        try:
-            n = int(obj["n"])
-            return cls(
-                n=n,
-                eps=_vector_from_json(obj["eps"]),
-                eps0=_matrix_from_json(obj["eps0"]),
-                eps_plus=_matrix_from_json(obj["eps_plus"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"missing coefficient key {exc}") from exc
-
 
 @dataclass(frozen=True)
 class RealBallDecomposition:
@@ -336,20 +312,14 @@ def ball_real_decomposition(bc: BallCoefficients) -> RealBallDecomposition:
     )
 
 
-# --- JSON helpers (complex entries as [re, im] pairs, matrices row-major) --
+# --- JSON output (complex entries as [re, im] pairs, matrices row-major) ---
+# configs are parsed, strictly and with field paths, by the runner
 
 
 def _vector_to_json(v: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
 
 
-def _vector_from_json(obj: Any) -> np.ndarray:
-    return np.array([complex(p[0], p[1]) for p in obj], dtype=complex)
-
-
 def _matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     return [_vector_to_json(row) for row in np.asarray(m, dtype=complex)]
 
-
-def _matrix_from_json(obj: Any) -> np.ndarray:
-    return np.array([[complex(p[0], p[1]) for p in row] for row in obj], dtype=complex)

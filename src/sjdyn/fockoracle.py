@@ -10,10 +10,11 @@ The realization splits into parity sectors with lowest K₀ eigenvalue
 k = ¼ (even, cyclic vector |0⟩) or k = ¾ (odd, cyclic vector |1⟩).  The
 closed-form machinery elsewhere in the package is checked against direct
 Schrödinger integration: each Hamiltonian is diagonalized densely, and
-:func:`propagate` is that diagonalization and nothing else.  This module
-imports none of the equations of motion it checks (no ``weinorman``,
-``berezin`` or ``runner``); the cross-check itself, with its fidelity and
-phase, is the runner's ``fock-oracle`` method (``runner.solution_fidelity``).
+:func:`propagator` is that diagonalization, made once per Hamiltonian and
+applied at any number of times, and nothing else.  This module imports none
+of the equations of motion it checks (no ``weinorman``, ``berezin`` or
+``runner``); the cross-check itself, with its fidelity and phase, is the
+runner's ``fock-oracle`` method (``runner.solution_fidelity``).
 
 The coherent states themselves come from their closed form, not from dense
 matrix exponentials.  exp(z·a† + w·K₊)|0⟩ has number-basis amplitudes
@@ -37,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +60,7 @@ __all__ = [
     "chart_state_vector",
     "hamiltonian_matrix",
     "propagate",
+    "propagator",
     "expectation",
 ]
 
@@ -305,13 +308,17 @@ def _require_hermitian(H: np.ndarray) -> None:
         raise ValueError(f"H not hermitian: residual {resid:.3e}")
 
 
-def propagate(psi0: StateVector, H: np.ndarray, t: float) -> StateVector:
-    """Solve i·ψ̇ = H·ψ for constant hermitian H over time t by diagonalizing H once."""
+def propagator(H: np.ndarray) -> Callable[[np.ndarray, float], np.ndarray]:
+    """Diagonalize constant hermitian H once; return (ψ, t) ↦ e^{−iHt}·ψ on raw amplitudes."""
     H = np.asarray(H, dtype=complex)
     _require_hermitian(H)
     vals, vecs = np.linalg.eigh(H)
-    psi = (vecs * np.exp(-1j * vals * float(t))) @ (vecs.conj().T @ psi0.psi)
-    return StateVector(psi)
+    return lambda psi, t: (vecs * np.exp(-1j * vals * float(t))) @ (vecs.conj().T @ psi)
+
+
+def propagate(psi0: StateVector, H: np.ndarray, t: float) -> StateVector:
+    """Solve i·ψ̇ = H·ψ for constant hermitian H over time t (see :func:`propagator`)."""
+    return StateVector(propagator(H)(psi0.psi, t))
 
 
 def expectation(psi: StateVector, M: np.ndarray) -> complex:

@@ -49,9 +49,10 @@ from .berezin import (
     _rhs_disk_raw,
     _rhs_fc_raw,
     hc_matrix,
+    hr_matrix,
 )
-from .fockoracle import FockBasisSpec, _check_tail, chart_state_vector, hamiltonian_matrix
-from .geometry import BargmannIndex, _ball_margin
+from .fockoracle import FockBasisSpec, _check_tail, chart_state_vector, hamiltonian_matrix, propagator
+from .geometry import BargmannIndex, JacobiPoint, _ball_margin, fc_inverse
 from .weinorman import (
     RealState,
     conjugation_dictionary,
@@ -170,6 +171,7 @@ class Trajectory:
 
 Observer = Callable[[float, np.ndarray], tuple[np.ndarray, PhaseRecord, dict[str, float]]]
 Guard = Callable[[float, np.ndarray], None]
+Advance = Callable[[float, np.ndarray, float], np.ndarray]  # (a, y(a), b) -> y(b)
 
 
 # --- integrators -------------------------------------------------------------------
@@ -260,6 +262,31 @@ def _checked_rhs(rhs: Callable[[float, np.ndarray], np.ndarray], t: float, yv: n
         raise InvariantViolation(f"at t={t:.6g}: {exc}") from exc
 
 
+def _rk_stepper(method: str, h0: float) -> Callable[[Callable[[float, np.ndarray], np.ndarray]], Advance]:
+    """The run's one stepper: maps a right-hand side to its ``advance(a, y, b)``.
+
+    "rk4" takes one step from a to b; "rk45" is adaptive Dormand-Prince whose
+    step size, starting at h0, carries over from span to span and segment to segment.
+    """
+    if method not in ("rk4", "rk45"):
+        raise ValueError(f"unknown integration method {method!r}")
+    h = h0
+
+    def stepper(rhs: Callable[[float, np.ndarray], np.ndarray]) -> Advance:
+        checked = functools.partial(_checked_rhs, rhs)
+        if method == "rk4":
+            return lambda a, y, b: _rk4_step(checked, a, y, b - a)
+
+        def advance(a: float, y: np.ndarray, b: float) -> np.ndarray:
+            nonlocal h
+            y, h = _rk45_span(checked, a, y, b, h)
+            return y
+
+        return advance
+
+    return stepper
+
+
 def integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -279,35 +306,31 @@ def integrate(
     (complex state row, PhaseRecord, diagnostics) for the trajectory record.
     """
     obs = observer or (lambda t, yv: (yv.astype(complex), PhaseRecord(0.0, 0.0), {}))
-    return _integrate_segments([(math.inf, rhs, obs)], y0, grid, method, chart=chart, guard=guard)
+    advance = _rk_stepper(method, grid.step)(rhs)
+    return _integrate_segments([(math.inf, advance, obs)], y0, grid, chart=chart, guard=guard)
 
 
 def _integrate_segments(
-    segments: Sequence[tuple[float, Callable[[float, np.ndarray], np.ndarray], Observer]],
+    segments: Sequence[tuple[float, Advance, Observer]],
     y0: np.ndarray,
     grid: TimeGrid,
-    method: str,
     *,
     chart: str,
     guard: Guard | None,
 ) -> Trajectory:
-    """:func:`integrate` for a piecewise-constant drive given as (end, rhs, observer).
+    """The one sample loop, for a piecewise-constant drive given as (end, advance, observer).
 
-    No RK4 step or RK45 span crosses a segment end: a grid interval that
-    contains one is cut there.  The sample at time t is taken by the
-    observer of the segment that owns t (see :func:`_owner`).
+    Each grid time is guarded, then sampled by the observer of the segment
+    that owns it (see :func:`_owner`).  Between samples each segment's
+    ``advance(a, y, b)`` (from :func:`_rk_stepper`, or an exact propagator)
+    maps y(a) to y(b); a grid interval that contains a segment end is cut there.
     """
-    if method not in ("rk4", "rk45"):
-        raise ValueError(f"unknown integration method {method!r}")
     times = grid.times()
     y = np.asarray(y0, dtype=float).copy()
     ends = [seg[0] for seg in segments]
-
-    rhss = [functools.partial(_checked_rhs, seg[1]) for seg in segments]
     rows: list[np.ndarray] = []
     phases: list[PhaseRecord] = []
     diags: dict[str, list[float]] = {}
-    h_adaptive = grid.step
 
     for i, t in enumerate(times):
         if guard is not None:
@@ -323,10 +346,7 @@ def _integrate_segments(
         if i + 1 == times.size:
             break
         for j, a, b in _substeps(ends, t, times[i + 1]):
-            if method == "rk4":
-                y = _rk4_step(rhss[j], a, y, b - a)
-            else:
-                y, h_adaptive = _rk45_span(rhss[j], a, y, b, h_adaptive)
+            y = segments[j][1](a, y, b)
 
     return Trajectory(
         times=times,
@@ -366,27 +386,55 @@ def _complex_from_pair(val: Any, path: str) -> complex:
     return complex(_as_float(val[0], path), _as_float(val[1], path))
 
 
+def _complex_array(val: Any, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested lists of [re, im] pairs of the given shape; entries report as path[i][j]."""
+
+    def parse(v: Any, p: str, dims: tuple[int, ...]) -> Any:
+        if not dims:
+            return _complex_from_pair(v, p)
+        if not (isinstance(v, list) and len(v) == dims[0]):
+            raise ConfigError(path, f"expected {'x'.join(map(str, shape))} entries")
+        return [parse(x, f"{p}[{i}]", dims[1:]) for i, x in enumerate(v)]
+
+    return np.array(parse(val, path, shape), dtype=complex)
+
+
+def _as_count(val: Any, path: str, lo: int, hi: float) -> int:
+    x = _as_float(val, path)
+    if not (x.is_integer() and lo <= x <= hi):
+        raise ConfigError(path, f"expected an integer from {lo} to {hi}, got {x!r}")
+    return int(x)
+
+
 def _parse_coefficients(obj: Any, path: str) -> ComplexCoefficients | BallCoefficients:
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
+
+    def num(key: str) -> float:
+        return _as_float(_req(obj, key, path), f"{path}.{key}")
+
     try:
         if "n" in obj:
-            return BallCoefficients.from_json(obj)
-        if "eps_a_re" in obj:
-            return ComplexCoefficients.from_json(obj)
-        if "nu1" in obj or "veps0" in obj:
-            return coeffs_from_real(
-                RealCoefficients(
-                    nu1=_as_float(obj.get("nu1", 0.0), f"{path}.nu1"),
-                    nu2=_as_float(obj.get("nu2", 0.0), f"{path}.nu2"),
-                    veps0=_as_float(obj.get("veps0", 0.0), f"{path}.veps0"),
-                    veps1=_as_float(obj.get("veps1", 0.0), f"{path}.veps1"),
-                    veps2=_as_float(obj.get("veps2", 0.0), f"{path}.veps2"),
-                )
+            n = _as_count(obj["n"], f"{path}.n", 1, math.inf)
+            return BallCoefficients(
+                n=n,
+                eps=_complex_array(_req(obj, "eps", path), f"{path}.eps", (n,)),
+                eps0=_complex_array(_req(obj, "eps0", path), f"{path}.eps0", (n, n)),
+                eps_plus=_complex_array(_req(obj, "eps_plus", path), f"{path}.eps_plus", (n, n)),
             )
+        if "eps_a_re" in obj:
+            return ComplexCoefficients(
+                eps_a=complex(num("eps_a_re"), num("eps_a_im")),
+                eps_0=num("eps_0"),
+                eps_plus=complex(num("eps_plus_re"), num("eps_plus_im")),
+            )
+        if "nu1" in obj or "veps0" in obj:
+            keys = ("nu1", "nu2", "veps0", "veps1", "veps2")
+            real = {key: _as_float(obj.get(key, 0.0), f"{path}.{key}") for key in keys}
+            return coeffs_from_real(RealCoefficients(**real))
     except ConfigError:
         raise
-    except (ValueError, TypeError, ArithmeticError, LookupError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # out-of-range values, e.g. a non-hermitian eps0
         raise ConfigError(path, str(exc)) from exc
     raise ConfigError(path, "unrecognized coefficient form (complex, real, or ball keys required)")
 
@@ -472,10 +520,7 @@ class ExperimentConfig:
             fobj = obj["fock"]
             if not isinstance(fobj, dict):
                 raise ConfigError("config.fock", "expected an object")
-            dim = _as_float(_req(fobj, "dim", "config.fock"), "config.fock.dim")
-            if not (dim.is_integer() and 2 <= dim <= FOCK_DIM_MAX):
-                raise ConfigError("config.fock.dim", f"expected an integer from 2 to {FOCK_DIM_MAX}, got {dim!r}")
-            fock_dim = int(dim)
+            fock_dim = _as_count(_req(fobj, "dim", "config.fock"), "config.fock.dim", 2, FOCK_DIM_MAX)
             if abs(k.k - 0.25) > 1e-12:
                 raise ConfigError("config.fock", "the direct oracle realizes k=0.25 only")
             if ball_form:
@@ -556,21 +601,8 @@ class ExperimentConfig:
             if not r < 1.0:
                 raise ConfigError("config.initial.w", f"|w| must be < 1, got {r}")
             return chart, np.array([z, w], dtype=complex)
-        if not isinstance(first, list) or len(first) != n:
-            raise ConfigError(f"config.initial.{first_key}", f"expected {n} entries")
-        z = np.array(
-            [_complex_from_pair(p, f"config.initial.{first_key}[{i}]") for i, p in enumerate(first)]
-        )
-        wrows = _req(obj, "W", "config.initial")
-        if not (isinstance(wrows, list) and all(isinstance(r, list) and len(r) == n for r in wrows)
-                and len(wrows) == n):
-            raise ConfigError("config.initial.W", f"expected {n}x{n} entries")
-        W = np.array(
-            [
-                [_complex_from_pair(p, f"config.initial.W[{i}][{j}]") for j, p in enumerate(row)]
-                for i, row in enumerate(wrows)
-            ]
-        )
+        z = _complex_array(first, f"config.initial.{first_key}", (n,))
+        W = _complex_array(_req(obj, "W", "config.initial"), "config.initial.W", (n, n))
         with np.errstate(all="ignore"):
             sym = float(np.max(np.abs(W - W.T)))
             bounded = bool(np.all(np.abs(W) < 1.0))  # every ball matrix has |W_ij| < 1
@@ -614,7 +646,8 @@ class ExperimentConfig:
 # Every lane shares the packing convention: real ODE vector y, complex state
 # rows for the Trajectory, diagnostics (margin, energy, ...) per sample.  A
 # lane translates each segment's coefficients once, into that segment's
-# right-hand side and observer.
+# advance (an RK step of its right-hand side, or an exact propagator) and
+# observer, and all lanes run through :func:`_integrate_segments`.
 
 
 def _eta(z: Any, w: Any) -> Any:
@@ -635,8 +668,10 @@ def _integrate_lane(
     chart: str,
     guard: Guard,
 ) -> Trajectory:
+    step = _rk_stepper(cfg.integrator, cfg.grid.step)
     segments = [(seg.until, *segment(seg.coefficients)) for seg in cfg.segments]
-    return _integrate_segments(segments, y0, cfg.grid, cfg.integrator, chart=chart, guard=guard)
+    segments = [(end, step(rhs), observer) for end, rhs, observer in segments]
+    return _integrate_segments(segments, y0, cfg.grid, chart=chart, guard=guard)
 
 
 def _disk_guard(t: float, y: np.ndarray) -> None:
@@ -808,63 +843,45 @@ def _lane_berezin_ball(cfg: ExperimentConfig) -> Trajectory:
 
 
 def _lane_riccati(cfg: ExperimentConfig) -> Trajectory:
-    """W by exact linearization (per-segment matrix exponentials); z by RK4.
+    """(η, W) solved exactly per segment by matrix exponentials; rows are (z = η − W·η̄, W).
 
-    The (X, Y) block pair is advanced by one constant matrix exponential per
-    step, so W(t) carries no time-discretization error within a segment; the
-    affine z equation is integrated with the same steps, W evaluated exactly
-    at the RK4 stage times.  Steps are cut at segment ends as in
-    :func:`_integrate_segments`.
+    Each step restarts (X, Y) at (W, 1), applies exp(h·h_c) and reads W = X·Y⁻¹;
+    η moves by Van Loan's augmented exp(h·[[h_r, F], [0, 0]]) on (Re η, −Im η, 1).
+    Both exponentials are cached per segment and step length.
     """
-    z0, W0 = cfg.ball_initial()
-    n = z0.size
-    times = cfg.grid.times()
-    ends = cfg.ends
-    bcs = [_ball_coefficients(seg.coefficients) for seg in cfg.segments]
+    n = cfg.n  # initial_state is [η or z.., W row-major..], for n=1 too
+    eta0, W0 = cfg.initial_state[:n], cfg.initial_state[n:].reshape(n, n)
+    if cfg.initial_chart == "product":
+        eta0 = fc_inverse(JacobiPoint(z=eta0, W=W0)).eta
+    eye = np.eye(n)
+    guard = _ball_guard_factory(n)
 
-    rows: list[np.ndarray] = []
-    diags: list[float] = []
-    z = z0.astype(complex)
-    blk = np.vstack([W0, np.eye(n, dtype=complex)])
-    W = _quotient_raw(blk[:n], blk[n:])
-    halfstep_cache: dict[tuple[int, float], np.ndarray] = {}
+    def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, PhaseRecord, dict[str, float]]:
+        eta, W = _unpack_ball(y, n)
+        return _ball_row(eta - W @ eta.conj(), W), _NAN_PHASE, {"margin": guard.margin}
 
-    def dz_at(bc: BallCoefficients, W_t: np.ndarray, zv: np.ndarray) -> np.ndarray:
-        return -1j * (bc.eps + W_t @ bc.eps.conj() + 0.5 * bc.eps0.T @ zv + W_t @ bc.eps_plus @ zv)
+    def segment(c: ComplexCoefficients | BallCoefficients) -> Advance:
+        bc = _ball_coefficients(c)
+        hc = hc_matrix(bc)
+        hr, F = hr_matrix(bc)
+        affine = np.zeros((2 * n + 1, 2 * n + 1))
+        affine[: 2 * n, : 2 * n], affine[: 2 * n, 2 * n] = hr, F
+        cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    for i, t in enumerate(times):
-        margin = _ball_margin(0.5 * (W + W.T))
-        if not margin > 0.0:
-            raise InvariantViolation(f"at t={t:.6g}: ball margin reached {margin:.3e}")
-        rows.append(_ball_row(z, W))
-        diags.append(margin)
-        if i + 1 == times.size:
-            break
-        for j, a, b in _substeps(ends, t, times[i + 1]):
+        def advance(a: float, y: np.ndarray, b: float) -> np.ndarray:
             h = b - a
-            bc = bcs[j]
-            m_half = halfstep_cache.get((j, h))
-            if m_half is None:
-                m_half = expm(0.5 * h * hc_matrix(bc))
-                halfstep_cache[(j, h)] = m_half
-            blk_half = m_half @ blk
-            blk = m_half @ blk_half
-            W_half = _quotient_raw(blk_half[:n], blk_half[n:])
-            W_full = _quotient_raw(blk[:n], blk[n:])
-            k1 = dz_at(bc, W, z)
-            k2 = dz_at(bc, W_half, z + 0.5 * h * k1)
-            k3 = dz_at(bc, W_half, z + 0.5 * h * k2)
-            k4 = dz_at(bc, W_full, z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            W = W_full
+            if h not in cache:
+                cache[h] = expm(h * hc), expm(h * affine)
+            m_w, m_eta = cache[h]
+            eta, W = _unpack_ball(y, n)
+            blk = m_w @ np.vstack([W, eye])
+            xi = m_eta @ np.concatenate([eta.real, -eta.imag, [1.0]])
+            return _pack_ball(xi[:n] - 1j * xi[n : 2 * n], _quotient_raw(blk[:n], blk[n:]))
 
-    return Trajectory(
-        times=times,
-        chart="ball",
-        states=np.vstack(rows),
-        phases=(_NAN_PHASE,) * times.size,
-        diagnostics={"margin": np.asarray(diags)},
-    )
+        return advance
+
+    segments = [(seg.until, segment(seg.coefficients), observer) for seg in cfg.segments]
+    return _integrate_segments(segments, _pack_ball(eta0, W0), cfg.grid, chart="ball", guard=guard)
 
 
 def _fock_fidelity_series(cfg: ExperimentConfig, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -882,7 +899,7 @@ def _fock_fidelity_series(cfg: ExperimentConfig, traj: Trajectory) -> tuple[np.n
     idx = np.unique(np.linspace(0, times.size - 1, min(11, times.size)).astype(int))
     fidelity = np.full(times.size, np.nan)
     phase = np.full(times.size, np.nan)
-    eigen: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    propagators: dict[int, Callable[[np.ndarray, float], np.ndarray]] = {}
 
     eta0, w0 = cfg.scalar_initial_fc()
     psi = chart_state_vector(eta0, w0, 0.0, spec).psi
@@ -894,10 +911,9 @@ def _fock_fidelity_series(cfg: ExperimentConfig, traj: Trajectory) -> tuple[np.n
         for s, a, b in _substeps(cfg.ends, t_prev, t_j):
             if b <= a:
                 continue
-            if s not in eigen:
-                eigen[s] = np.linalg.eigh(hamiltonian_matrix(cfg.segments[s].coefficients, spec))
-            vals, vecs = eigen[s]
-            psi = (vecs * np.exp(-1j * vals * (b - a))) @ (vecs.conj().T @ psi)
+            if s not in propagators:
+                propagators[s] = propagator(hamiltonian_matrix(cfg.segments[s].coefficients, spec))
+            psi = propagators[s](psi, b - a)
         t_prev = t_j
         _check_tail(psi, f"direct propagation at t={t_j:.6g}")
         eta, w = complex(traj.states[j, 0]), complex(traj.states[j, 1])

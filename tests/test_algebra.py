@@ -14,6 +14,7 @@ from sjdyn.algebra import (
     coeffs_to_real,
     displacement_phase,
 )
+from sjdyn.runner import _parse_coefficients
 from conftest import draw_ball_coeffs, draw_complex
 
 EXACT = 0.0
@@ -173,7 +174,7 @@ def test_complex_coefficients_json_round_trip():
     cc = ComplexCoefficients(eps_a=0.3 - 0.1j, eps_0=0.7, eps_plus=0.2 + 0.5j)
     obj = cc.to_json()
     assert set(obj) == {"eps_a_re", "eps_a_im", "eps_0", "eps_plus_re", "eps_plus_im"}
-    back = ComplexCoefficients.from_json(obj)
+    back = _parse_coefficients(obj, "c")
     assert back == cc
 
 
@@ -270,7 +271,7 @@ def test_ball_scalar_round_trip():
 def test_ball_coefficients_json_round_trip():
     rng = np.random.default_rng(7)
     bc = draw_ball_coeffs(rng, 2)
-    back = BallCoefficients.from_json(bc.to_json())
+    back = _parse_coefficients(bc.to_json(), "c")
     np.testing.assert_allclose(back.eps, bc.eps, atol=1e-15)
     np.testing.assert_allclose(back.eps0, bc.eps0, atol=1e-15)
     np.testing.assert_allclose(back.eps_plus, bc.eps_plus, atol=1e-15)

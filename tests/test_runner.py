@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import sjdyn
 from sjdyn import cli, runner
@@ -443,10 +444,10 @@ def test_ball_initial_matrix_chart():
         pytest.param(lambda c: c.update(output={"csv": 3}), "config.output.csv", id="output-csv-type"),
         pytest.param(lambda c: c.update(output={"report": ["r.json"]}), "config.output.report", id="output-report-type"),
         pytest.param(
-            lambda c: c["coefficients"].update(eps_0="nan"), "config.coefficients: eps_0", id="eps0-nan"
+            lambda c: c["coefficients"].update(eps_0="nan"), "config.coefficients.eps_0", id="eps0-nan"
         ),
         pytest.param(
-            lambda c: c["coefficients"].update(eps_a_re=float("inf")), "config.coefficients: eps_a", id="eps-a-inf"
+            lambda c: c["coefficients"].update(eps_a_re=float("inf")), "config.coefficients.eps_a_re", id="eps-a-inf"
         ),
         pytest.param(
             lambda c: c.update(coefficients={"nu1": 0.1, "veps0": 1e308}), "config.coefficients", id="real-form-overflow"
@@ -460,6 +461,8 @@ def test_ball_initial_matrix_chart():
             id="schedule-until-nan",
         ),
         pytest.param(lambda c: c["initial"].update(w=[1e308, 1e308]), "config.initial.w", id="w-overflow"),
+        pytest.param(lambda c: c["coefficients"].update(eps_a_re=True), "config.coefficients.eps_a_re", id="eps-a-bool"),
+        pytest.param(lambda c: c["coefficients"].pop("eps_plus_im"), "config.coefficients.eps_plus_im", id="eps-plus-im-missing"),
     ],
 )
 def test_from_json_rejects_bad_scalar_field(mutate, fragment):
@@ -510,7 +513,7 @@ def test_from_json_rejects_bad_scalar_field(mutate, fragment):
             "config.fock",
             id="fock-on-ball-form",
         ),
-        pytest.param(lambda c: c["coefficients"]["eps"].__setitem__(0, [float("nan"), 0.0]), "config.coefficients: eps",
+        pytest.param(lambda c: c["coefficients"]["eps"].__setitem__(0, [float("nan"), 0.0]), "config.coefficients.eps[0]",
                      id="eps-nan"),
         pytest.param(lambda c: c["coefficients"]["eps"].__setitem__(0, []), "config.coefficients", id="eps-empty-pair"),
         pytest.param(lambda c: c["coefficients"].update(n="inf"), "config.coefficients", id="n-inf"),
@@ -525,6 +528,17 @@ def test_from_json_rejects_bad_scalar_field(mutate, fragment):
             "config.initial.W",
             id="W-overflow",
         ),
+        pytest.param(lambda c: c["coefficients"].update(n=2.7), "config.coefficients.n", id="n-fraction"),
+        pytest.param(lambda c: c["coefficients"].update(n="2.5"), "config.coefficients.n", id="n-fraction-string"),
+        pytest.param(lambda c: c["coefficients"].update(n=True), "config.coefficients.n", id="n-bool"),
+        pytest.param(lambda c: c["coefficients"]["eps"].__setitem__(0, [True, 0]), "config.coefficients.eps[0]",
+                     id="eps-bool-entry"),
+        pytest.param(lambda c: c["coefficients"]["eps"].__setitem__(0, [0.1, 0.2, 9]), "config.coefficients.eps[0]",
+                     id="eps-three-values"),
+        pytest.param(lambda c: c["coefficients"]["eps0"].pop(), "config.coefficients.eps0", id="eps0-row-count"),
+        pytest.param(lambda c: c["coefficients"]["eps_plus"][1].__setitem__(0, "x"), "config.coefficients.eps_plus[1][0]",
+                     id="eps-plus-bad-pair"),
+        pytest.param(lambda c: c["coefficients"].pop("eps0"), "config.coefficients.eps0", id="eps0-missing"),
     ],
 )
 def test_from_json_rejects_bad_ball_field(mutate, fragment):
@@ -664,6 +678,68 @@ def test_ball_schedule_drive_lanes_agree_across_segment_end(first_end):
     ]
     rep = run_experiment(ExperimentConfig.from_json(cfg))
     assert rep["comparisons"]["berezin-ball|riccati-linearized"] <= 1e-8
+
+
+def _exact_flow(c, eta, W, tau):
+    """(η, W) after time tau of constant ball coefficients c, each from one expm.
+
+    W = X·Y⁻¹ linearizes i·Ẇ = ε₋ + (W·ε₀)ˢ + W·ε₊·W; the flow
+    i·η̇ = ε + ε₋·η̄ + ½ε₀ᵗ·η is real-affine in (Re η, Im η), so its matrix
+    is read off by probing it at 0 and at the unit vectors.
+    """
+    n = c.n
+    gen_w = np.block([[-0.5j * c.eps0.T, -1j * c.eps_minus], [1j * c.eps_plus, 0.5j * c.eps0]])
+
+    def deta(v):
+        e = v[:n] + 1j * v[n:]
+        d = -1j * (c.eps + c.eps_minus @ e.conj() + 0.5 * c.eps0.T @ e)
+        return np.concatenate([d.real, d.imag])
+
+    offset = deta(np.zeros(2 * n))
+    gen_eta = np.zeros((2 * n + 1, 2 * n + 1))
+    gen_eta[: 2 * n, : 2 * n] = np.column_stack([deta(e) - offset for e in np.eye(2 * n)])
+    gen_eta[: 2 * n, 2 * n] = offset
+    blk = expm(tau * gen_w) @ np.vstack([W, np.eye(n)])
+    v = expm(tau * gen_eta) @ np.concatenate([eta.real, eta.imag, [1.0]])
+    return v[:n] + 1j * v[n : 2 * n], np.linalg.solve(blk[n:].T, blk[:n].T).T
+
+
+def _pairs(obj):
+    return np.array([complex(*p) for p in obj])
+
+
+@pytest.mark.parametrize("form", ["scalar", "ball"])
+@pytest.mark.parametrize("first_end", [None, 2.6], ids=["one-segment", "two-segment"])
+def test_riccati_lane_is_exact_per_segment(form, first_end):
+    # at grid step 0.25 a stepped z would miss by ~1e-7; the lane must match
+    # a reference that takes one expm from the start of each sample's segment
+    if form == "scalar":
+        cfg = scalar_config(method="riccati-linearized")
+        second = dict(SECOND_SEGMENT, eps_a_re=0.4, eps_plus_im=0.3)
+        eta0, W0 = _pairs([cfg["initial"]["eta"]]), _pairs([cfg["initial"]["w"]]).reshape(1, 1)
+    else:
+        cfg = ball_config(method="riccati-linearized")
+        second = json.loads(json.dumps(BALL_COEFFS))
+        second["eps"][0], second["eps0"][0][0] = [0.5, 0.1], [-0.4, 0.0]
+        eta0, W0 = _pairs(cfg["initial"]["eta"]), np.array([_pairs(r) for r in cfg["initial"]["W"]])
+    cfg["grid"] = {"t0": 0.0, "t1": 5.0, "step": 0.25}
+    if first_end is not None:
+        cfg["schedule"] = [{"until": first_end, "coefficients": cfg.pop("coefficients")},
+                           {"until": 5.0, "coefficients": second}]
+    exp = ExperimentConfig.from_json(cfg)
+    coeffs = [s.coefficients for s in exp.segments]
+    if form == "scalar":
+        coeffs = [BallCoefficients.from_scalar(conjugation_dictionary(c)) for c in coeffs]
+    traj = runner._LANES["riccati-linearized"](exp)
+
+    ends = exp.ends
+    j, start, eta_s, W_s = 0, 0.0, eta0, W0
+    for t, row in zip(traj.times, traj.states):
+        while j + 1 < len(ends) and t >= ends[j]:
+            eta_s, W_s = _exact_flow(coeffs[j], eta_s, W_s, ends[j] - start)
+            j, start = j + 1, ends[j]
+        eta, W = _exact_flow(coeffs[j], eta_s, W_s, t - start)
+        assert np.max(np.abs(row - np.concatenate([eta - W @ eta.conj(), W.reshape(-1)]))) <= 1e-12, t
 
 
 @pytest.mark.parametrize("lane", ["wei-norman", "berezin-fc", "berezin-disk", "berezin-ball"])
@@ -972,7 +1048,7 @@ def test_cli_nan_coefficient_is_config_error(tmp_path, capsys):
     cfg["coefficients"]["eps_0"] = "nan"
     assert cli.main(["run", "--config", write_config(tmp_path, "nan.json", cfg)]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "eps_0 must be finite" in err
+    assert "config error" in err and "config.coefficients.eps_0: expected a finite number" in err
 
 
 def test_cli_nan_tolerance_is_config_error(tmp_path, capsys):
