@@ -1,4 +1,4 @@
-"""Golden outputs of the README's three example configs.
+"""Golden outputs of the README's example configs and of the paths around them.
 
 Each golden file holds the full JSON report, the CSV header and row count,
 and every 100th CSV row plus the last one.  Headers and row counts must
@@ -25,30 +25,45 @@ TOL = 1e-12
 SCALAR = {"eps_a_re": 0.3, "eps_a_im": -0.1, "eps_0": 0.8, "eps_plus_re": 0.2, "eps_plus_im": 0.4}
 SCALAR_INITIAL = {"chart": "fc", "eta": [0.2, -0.1], "w": [0.1, 0.15]}
 GRID = {"t0": 0.0, "t1": 1.0, "step": 0.001}
+BALL = {
+    "n": 2,
+    "eps": [[0.1, 0.2], [0.0, -0.3]],
+    "eps0": [[[0.5, 0.0], [0.1, -0.2]], [[0.1, 0.2], [0.3, 0.0]]],
+    "eps_plus": [[[0.2, 0.0], [0.0, 0.1]], [[0.0, 0.1], [-0.4, 0.0]]],
+}
+BALL_INITIAL = {
+    "chart": "fc",
+    "eta": [[0.2, -0.1], [0.0, 0.3]],
+    "W": [[[0.1, 0.0], [0.0, 0.2]], [[0.0, 0.2], [-0.1, 0.0]]],
+}
+SCHEDULE = [
+    {"until": 1.0, "coefficients": {"eps_a_re": 0.3, "eps_a_im": 0.0,
+                                    "eps_0": 0.8, "eps_plus_re": 0.2, "eps_plus_im": 0.4}},
+    {"until": 2.0, "coefficients": {"eps_a_re": 0.0, "eps_a_im": 0.0,
+                                    "eps_0": -0.3, "eps_plus_re": 0.0, "eps_plus_im": 0.0}},
+]
 
 CONFIGS = {
     "scalar-compare": {
         "method": "compare-all", "grid": GRID, "coefficients": SCALAR,
         "initial": SCALAR_INITIAL, "k": 0.25,
     },
-    "ball-compare": {
-        "method": "compare-all",
-        "grid": GRID,
-        "coefficients": {
-            "n": 2,
-            "eps": [[0.1, 0.2], [0.0, -0.3]],
-            "eps0": [[[0.5, 0.0], [0.1, -0.2]], [[0.1, 0.2], [0.3, 0.0]]],
-            "eps_plus": [[[0.2, 0.0], [0.0, 0.1]], [[0.0, 0.1], [-0.4, 0.0]]],
-        },
-        "initial": {
-            "chart": "fc",
-            "eta": [[0.2, -0.1], [0.0, 0.3]],
-            "W": [[[0.1, 0.0], [0.0, 0.2]], [[0.0, 0.2], [-0.1, 0.0]]],
-        },
-    },
+    "ball-compare": {"method": "compare-all", "grid": GRID, "coefficients": BALL, "initial": BALL_INITIAL},
     "fock-oracle": {
         "method": "fock-oracle", "grid": GRID, "coefficients": SCALAR,
         "initial": SCALAR_INITIAL, "fock": {"dim": 250},
+    },
+    "scalar-product-compare": {
+        "method": "compare-all", "grid": GRID, "coefficients": SCALAR,
+        "initial": {"chart": "product", "z": [-0.15, 0.3], "w": [-0.2, 0.1]}, "k": 0.25,
+    },
+    "schedule-compare-fock": {
+        "method": "compare-all", "grid": {"t0": 0.0, "t1": 2.0, "step": 0.01}, "schedule": SCHEDULE,
+        "initial": SCALAR_INITIAL, "fock": {"dim": 120},
+    },
+    "ball-rk45": {
+        "method": "berezin-ball", "integrator": "rk45", "grid": {"t0": 0.0, "t1": 1.0, "step": 0.01},
+        "coefficients": BALL, "initial": BALL_INITIAL,
     },
 }
 
