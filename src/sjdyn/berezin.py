@@ -39,7 +39,6 @@ from .geometry import BallPoint, BargmannIndex, FCPoint, JacobiPoint
 __all__ = [
     "RICCATI_SINGULAR_TOL",
     "LinearizationPair",
-    "PhaseRecord",
     "RiccatiSingularError",
     "rhs_disk",
     "rhs_fc",
@@ -81,22 +80,6 @@ def _quotient_raw(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise RiccatiSingularError(
             f"relative smallest singular value of Y is {sv[-1] / sv[0]:.3e}")
     return np.linalg.solve(Y.T, X.T).T
-
-
-@dataclass(frozen=True)
-class PhaseRecord:
-    """Accumulated dynamical and geometric phases; phi = phi_D + phi_B."""
-
-    phi_D: float
-    phi_B: float
-    phi: float = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        total = self.phi_D + self.phi_B
-        if self.phi is None:
-            object.__setattr__(self, "phi", total)
-        elif abs(self.phi - total) > 1e-9 * max(1.0, abs(total)):
-            raise ValueError(f"phi={self.phi} != phi_D+phi_B={total}")
 
 
 # --- right-hand sides -------------------------------------------------------
@@ -274,6 +257,12 @@ def berry_phase_rhs(p: FCPoint, deta: complex, dw: complex, k: BargmannIndex) ->
     return _berry_raw(p.eta1, p.w1, complex(deta), complex(dw), k.k)
 
 
+def _phase_rates(c: ComplexCoefficients, eta: complex, w: complex, deta: complex, dw: complex,
+                 k: float) -> tuple[float, float]:
+    """Unvalidated (φ̇_D, φ̇_B) at (η, w) moving with velocity (η̇, ẇ)."""
+    return -_energy_raw(c, eta, w, k), _berry_raw(eta, w, deta, dw, k)
+
+
 def phase_rhs(
     c: ComplexCoefficients, p: FCPoint, k: BargmannIndex
 ) -> tuple[float, float, float]:
@@ -285,7 +274,6 @@ def phase_rhs(
     if p.n != 1:
         raise ValueError("phase_rhs is implemented for n=1 only")
     eta, w = p.eta1, p.w1
-    dphi_d = -_energy_raw(c, eta, w, k.k)
     deta, dw = _rhs_fc_raw(c, eta, w)
-    dphi_b = _berry_raw(eta, w, deta, dw, k.k)
+    dphi_d, dphi_b = _phase_rates(c, eta, w, deta, dw, k.k)
     return dphi_d, dphi_b, dphi_d + dphi_b

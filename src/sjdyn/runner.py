@@ -40,10 +40,10 @@ from .algebra import (
     coeffs_from_real,
     coeffs_to_real,
 )
-from .berezin import (
-    PhaseRecord,
+from .berezin import (  # _berry_raw is unused here but stays a name perfbench/tracing.py wraps
     _berry_raw,
     _energy_raw,
+    _phase_rates,
     _quotient_raw,
     _rhs_ball_raw,
     _rhs_disk_raw,
@@ -52,7 +52,7 @@ from .berezin import (
     hr_matrix,
 )
 from .fockoracle import FockBasisSpec, _check_tail, chart_state_vector, hamiltonian_matrix, propagator
-from .geometry import BargmannIndex, JacobiPoint, _ball_margin, fc_inverse
+from .geometry import MARGIN_MIN, BargmannIndex, JacobiPoint, _ball_margin, fc_inverse
 from .weinorman import (
     RealState,
     conjugation_dictionary,
@@ -145,12 +145,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled trajectory on one chart, with phases and per-sample diagnostics."""
+    """Sampled trajectory on one chart, with per-sample diagnostic columns."""
 
     times: np.ndarray
     chart: str
     states: np.ndarray  # (N, m) complex rows, layout set by `chart`
-    phases: tuple[PhaseRecord, ...]
     diagnostics: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -158,8 +157,6 @@ class Trajectory:
         states = np.asarray(self.states, dtype=complex)
         if times.ndim != 1 or states.ndim != 2 or states.shape[0] != times.size:
             raise ValueError("times and states must have matching lengths")
-        if len(self.phases) != times.size:
-            raise ValueError("phases must have one record per sample")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
         for key, arr in self.diagnostics.items():
@@ -169,8 +166,7 @@ class Trajectory:
         object.__setattr__(self, "states", states)
 
 
-Observer = Callable[[float, np.ndarray], tuple[np.ndarray, PhaseRecord, dict[str, float]]]
-Guard = Callable[[float, np.ndarray], None]
+Observer = Callable[[float, np.ndarray], tuple[np.ndarray, dict[str, float]]]
 Advance = Callable[[float, np.ndarray, float], np.ndarray]  # (a, y(a), b) -> y(b)
 
 
@@ -295,19 +291,19 @@ def integrate(
     *,
     chart: str = "raw",
     observer: Observer | None = None,
-    guard: Guard | None = None,
 ) -> Trajectory:
     """Integrate ẏ = rhs(t, y) over the grid, sampling at every grid time.
 
     "rk4" takes one fixed step per grid interval; "rk45" is adaptive
-    Dormand-Prince (atol 1e−10, rtol 1e−8) between samples.  `guard` is
-    called at every sample and may raise :class:`InvariantViolation`; the
-    integration then aborts with time context.  `observer` maps (t, y) to
-    (complex state row, PhaseRecord, diagnostics) for the trajectory record.
+    Dormand-Prince (atol 1e−10, rtol 1e−8) between samples.  `observer`
+    maps (t, y) to (complex state row, diagnostic columns) at every sample;
+    it may check an invariant and raise :class:`InvariantViolation`, and the
+    integration then aborts with time context.  Without it the row is y and
+    there are no columns.
     """
-    obs = observer or (lambda t, yv: (yv.astype(complex), PhaseRecord(0.0, 0.0), {}))
+    obs = observer or (lambda t, yv: (yv.astype(complex), {}))
     advance = _rk_stepper(method, grid.step)(rhs)
-    return _integrate_segments([(math.inf, advance, obs)], y0, grid, chart=chart, guard=guard)
+    return _integrate_segments([(math.inf, advance, obs)], y0, grid, chart=chart)
 
 
 def _integrate_segments(
@@ -316,31 +312,27 @@ def _integrate_segments(
     grid: TimeGrid,
     *,
     chart: str,
-    guard: Guard | None,
 ) -> Trajectory:
     """The one sample loop, for a piecewise-constant drive given as (end, advance, observer).
 
-    Each grid time is guarded, then sampled by the observer of the segment
-    that owns it (see :func:`_owner`).  Between samples each segment's
-    ``advance(a, y, b)`` (from :func:`_rk_stepper`, or an exact propagator)
-    maps y(a) to y(b); a grid interval that contains a segment end is cut there.
+    Each grid time is sampled by the observer of the segment that owns it
+    (see :func:`_owner`); an invariant it finds broken gets the time added.
+    Between samples each segment's ``advance(a, y, b)`` (from
+    :func:`_rk_stepper`, or an exact propagator) maps y(a) to y(b); a grid
+    interval that contains a segment end is cut there.
     """
     times = grid.times()
     y = np.asarray(y0, dtype=float).copy()
     ends = [seg[0] for seg in segments]
     rows: list[np.ndarray] = []
-    phases: list[PhaseRecord] = []
     diags: dict[str, list[float]] = {}
 
     for i, t in enumerate(times):
-        if guard is not None:
-            try:
-                guard(t, y)
-            except InvariantViolation as exc:
-                raise InvariantViolation(f"at t={t:.6g}: {exc}") from exc
-        row, ph, dg = segments[_owner(ends, t)][2](t, y)
+        try:
+            row, dg = segments[_owner(ends, t)][2](t, y)
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"at t={t:.6g}: {exc}") from exc
         rows.append(np.asarray(row, dtype=complex))
-        phases.append(ph)
         for key, val in dg.items():
             diags.setdefault(key, []).append(float(val))
         if i + 1 == times.size:
@@ -352,7 +344,6 @@ def _integrate_segments(
         times=times,
         chart=chart,
         states=np.vstack(rows),
-        phases=tuple(phases),
         diagnostics={k: np.asarray(v) for k, v in diags.items()},
     )
 
@@ -525,6 +516,8 @@ class ExperimentConfig:
                 raise ConfigError("config.fock", "the direct oracle realizes k=0.25 only")
             if ball_form:
                 raise ConfigError("config.fock", "the direct oracle needs scalar coefficients")
+            if method not in ("fock-oracle", "compare-all"):
+                raise ConfigError("config.fock", f"read only by fock-oracle and compare-all, not {method}")
         if method == "fock-oracle" and fock_dim is None:
             fock_dim = 300
 
@@ -598,8 +591,8 @@ class ExperimentConfig:
             z = _complex_from_pair(first, f"config.initial.{first_key}")
             w = _complex_from_pair(_req(obj, "w", "config.initial"), "config.initial.w")
             r = math.hypot(w.real, w.imag)  # abs(w) raises OverflowError near the float limit
-            if not r < 1.0:
-                raise ConfigError("config.initial.w", f"|w| must be < 1, got {r}")
+            if not (r < 1.0 and _ball_margin(np.array([[w]])) > MARGIN_MIN):
+                raise ConfigError("config.initial.w", f"1 - |w|² must exceed {MARGIN_MIN:g}, got |w| = {r}")
             return chart, np.array([z, w], dtype=complex)
         z = _complex_array(first, f"config.initial.{first_key}", (n,))
         W = _complex_array(_req(obj, "W", "config.initial"), "config.initial.W", (n, n))
@@ -608,8 +601,8 @@ class ExperimentConfig:
             bounded = bool(np.all(np.abs(W) < 1.0))  # every ball matrix has |W_ij| < 1
         if not sym <= 1e-12:
             raise ConfigError("config.initial.W", f"not symmetric (residual {sym:.3e})")
-        if not (bounded and _ball_margin(W) > 0):
-            raise ConfigError("config.initial.W", "1 - W·conj(W) is not positive definite")
+        if not (bounded and _ball_margin(W) > MARGIN_MIN):
+            raise ConfigError("config.initial.W", f"1 - W·conj(W) must be positive definite above {MARGIN_MIN:g}")
         return chart, np.concatenate([z, W.reshape(-1)])
 
     # -- derived accessors -------------------------------------------------------
@@ -644,10 +637,12 @@ class ExperimentConfig:
 # --- method lanes --------------------------------------------------------------------
 #
 # Every lane shares the packing convention: real ODE vector y, complex state
-# rows for the Trajectory, diagnostics (margin, energy, ...) per sample.  A
-# lane translates each segment's coefficients once, into that segment's
-# advance (an RK step of its right-hand side, or an exact propagator) and
-# observer, and all lanes run through :func:`_integrate_segments`.
+# rows for the Trajectory, diagnostic columns (margin, energy, phases, ...)
+# per sample.  A lane's observer checks the lane's invariant on y before it
+# returns the row and columns.  A lane translates each segment's coefficients
+# once, into that segment's advance (an RK step of its right-hand side, or an
+# exact propagator) and observer, and all lanes run through
+# :func:`_integrate_segments`.
 
 
 def _eta(z: Any, w: Any) -> Any:
@@ -655,28 +650,30 @@ def _eta(z: Any, w: Any) -> Any:
     return (z + w * z.conjugate()) / (1.0 - abs(w) ** 2)
 
 
-def _phase_rates(bcc: ComplexCoefficients, eta: complex, w: complex, deta: complex, dw: complex,
-                 k: float) -> tuple[float, float]:
-    """(φ̇_D, φ̇_B) at (η, w) moving with velocity (η̇, ẇ)."""
-    return -_energy_raw(bcc, eta, w, k), _berry_raw(eta, w, deta, dw, k)
-
-
 def _integrate_lane(
     cfg: ExperimentConfig,
     segment: Callable[[Any], tuple[Callable[[float, np.ndarray], np.ndarray], Observer]],
     y0: np.ndarray,
     chart: str,
-    guard: Guard,
 ) -> Trajectory:
     step = _rk_stepper(cfg.integrator, cfg.grid.step)
     segments = [(seg.until, *segment(seg.coefficients)) for seg in cfg.segments]
     segments = [(end, step(rhs), observer) for end, rhs, observer in segments]
-    return _integrate_segments(segments, y0, cfg.grid, chart=chart, guard=guard)
+    return _integrate_segments(segments, y0, cfg.grid, chart=chart)
 
 
-def _disk_guard(t: float, y: np.ndarray) -> None:
+def _disk_sample(bcc: ComplexCoefficients, eta: complex, w: complex, y: np.ndarray, k: float) -> dict[str, float]:
+    """The n = 1 lanes' columns, once |w| < 1 holds on y = (·, ·, Re w, Im w, .., φ_D, φ_B):
+    margin, energy at (η, w), and the phases."""
     if not y[2] ** 2 + y[3] ** 2 < 1.0:
         raise InvariantViolation(f"|w| reached 1 (u={y[2]:.6g}, v={y[3]:.6g})")
+    return {
+        "margin": 1.0 - abs(w) ** 2,
+        "energy": _energy_raw(bcc, eta, w, k),
+        "phi_D": y[-2],
+        "phi_B": y[-1],
+        "phi": y[-2] + y[-1],
+    }
 
 
 def _lane_wei_norman(cfg: ExperimentConfig) -> Trajectory:
@@ -702,21 +699,18 @@ def _lane_wei_norman(cfg: ExperimentConfig) -> Trajectory:
             deta, dw = _rhs_fc_raw(bcc, eta, w)
             return np.array([dx, dy, du, dv, dphi, *_phase_rates(bcc, eta, w, deta, dw, k.k)])
 
-        def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, PhaseRecord, dict[str, float]]:
-            s = RealState(x=y[0], y=y[1], u=y[2], v=y[3])
+        def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
             eta, w = complex(y[0], y[1]), complex(y[2], y[3])
+            columns = _disk_sample(bcc, eta, w, y, k.k)
+            s = RealState(x=y[0], y=y[1], u=y[2], v=y[3])
             q = quasienergy_coeffs(rc, s, wn_rhs(rc, s), wn_phase_rhs(rc, s, k))
-            diag = {
-                "margin": 1.0 - abs(w) ** 2,
-                "energy": _energy_raw(bcc, eta, w, k.k),
-                "quasienergy_residual": max(abs(q.G1), abs(q.G2), abs(q.H1), abs(q.H2)),
-                "phi_wn": y[4],
-            }
-            return np.array([eta, w]), PhaseRecord(y[5], y[6]), diag
+            columns["quasienergy_residual"] = max(abs(q.G1), abs(q.G2), abs(q.H1), abs(q.H2))
+            columns["phi_wn"] = y[4]
+            return np.array([eta, w]), columns
 
         return rhs, observer
 
-    return _integrate_lane(cfg, segment, y0, "fc", _disk_guard)
+    return _integrate_lane(cfg, segment, y0, "fc")
 
 
 def _lane_berezin_fc(cfg: ExperimentConfig) -> Trajectory:
@@ -734,17 +728,13 @@ def _lane_berezin_fc(cfg: ExperimentConfig) -> Trajectory:
             return np.array([deta.real, deta.imag, dw.real, dw.imag,
                              *_phase_rates(bcc, eta, w, deta, dw, k.k)])
 
-        def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, PhaseRecord, dict[str, float]]:
+        def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
             eta, w = complex(y[0], y[1]), complex(y[2], y[3])
-            diag = {
-                "margin": 1.0 - abs(w) ** 2,
-                "energy": _energy_raw(bcc, eta, w, k.k),
-            }
-            return np.array([eta, w]), PhaseRecord(y[4], y[5]), diag
+            return np.array([eta, w]), _disk_sample(bcc, eta, w, y, k.k)
 
         return rhs, observer
 
-    return _integrate_lane(cfg, segment, y0, "fc", _disk_guard)
+    return _integrate_lane(cfg, segment, y0, "fc")
 
 
 def _lane_berezin_disk(cfg: ExperimentConfig) -> Trajectory:
@@ -765,17 +755,13 @@ def _lane_berezin_disk(cfg: ExperimentConfig) -> Trajectory:
             return np.array([dz.real, dz.imag, dw.real, dw.imag,
                              *_phase_rates(bcc, eta, w, deta, dw, k.k)])
 
-        def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, PhaseRecord, dict[str, float]]:
+        def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
             z, w = complex(y[0], y[1]), complex(y[2], y[3])
-            diag = {
-                "margin": 1.0 - abs(w) ** 2,
-                "energy": _energy_raw(bcc, _eta(z, w), w, k.k),
-            }
-            return np.array([z, w]), PhaseRecord(y[4], y[5]), diag
+            return np.array([z, w]), _disk_sample(bcc, _eta(z, w), w, y, k.k)
 
         return rhs, observer
 
-    return _integrate_lane(cfg, segment, y0, "product", _disk_guard)
+    return _integrate_lane(cfg, segment, y0, "product")
 
 
 def _ball_coefficients(c: ComplexCoefficients | BallCoefficients) -> BallCoefficients:
@@ -795,27 +781,15 @@ def _unpack_ball(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, flat.reshape(n, n)
 
 
-def _ball_guard_factory(n: int) -> Guard:
-    """Ball guard; keeps the margin it checked as ``guard.margin``, which the
-    lane's observer, called next at the same sample, reports."""
-
-    def guard(t: float, y: np.ndarray) -> None:
-        _, W = _unpack_ball(y, n)
-        sym = float(np.max(np.abs(W - W.T)))
-        if not sym <= 1e-8:
-            raise InvariantViolation(f"W symmetry drifted to {sym:.3e}")
-        margin = guard.margin = _ball_margin(0.5 * (W + W.T))
-        if not margin > 0.0:
-            raise InvariantViolation(f"ball margin reached {margin:.3e}")
-
-    return guard
-
-
-_NAN_PHASE = PhaseRecord(float("nan"), float("nan"), float("nan"))
-
-
-def _ball_row(z: np.ndarray, W: np.ndarray) -> np.ndarray:
-    return np.concatenate([z, W.reshape(-1)])
+def _ball_sample(z: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+    """The ball lanes' row (z, W..) and margin, once W is symmetric and 1 − W·W̄ ≻ 0."""
+    sym = float(np.max(np.abs(W - W.T)))
+    if not sym <= 1e-8:
+        raise InvariantViolation(f"W symmetry drifted to {sym:.3e}")
+    margin = _ball_margin(0.5 * (W + W.T))
+    if not margin > 0.0:
+        raise InvariantViolation(f"ball margin reached {margin:.3e}")
+    return np.concatenate([z, W.reshape(-1)]), {"margin": margin}
 
 
 def _lane_berezin_ball(cfg: ExperimentConfig) -> Trajectory:
@@ -823,11 +797,9 @@ def _lane_berezin_ball(cfg: ExperimentConfig) -> Trajectory:
     z0, W0 = cfg.ball_initial()
     n = z0.size
     y0 = _pack_ball(z0, W0)
-    guard = _ball_guard_factory(n)
 
-    def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, PhaseRecord, dict[str, float]]:
-        z, W = _unpack_ball(y, n)
-        return _ball_row(z, W), _NAN_PHASE, {"margin": guard.margin}
+    def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+        return _ball_sample(*_unpack_ball(y, n))
 
     def segment(c: ComplexCoefficients | BallCoefficients) -> tuple[Callable, Observer]:
         bc = _ball_coefficients(c)
@@ -839,7 +811,7 @@ def _lane_berezin_ball(cfg: ExperimentConfig) -> Trajectory:
 
         return rhs, observer
 
-    return _integrate_lane(cfg, segment, y0, "ball", guard)
+    return _integrate_lane(cfg, segment, y0, "ball")
 
 
 def _lane_riccati(cfg: ExperimentConfig) -> Trajectory:
@@ -854,11 +826,10 @@ def _lane_riccati(cfg: ExperimentConfig) -> Trajectory:
     if cfg.initial_chart == "product":
         eta0 = fc_inverse(JacobiPoint(z=eta0, W=W0)).eta
     eye = np.eye(n)
-    guard = _ball_guard_factory(n)
 
-    def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, PhaseRecord, dict[str, float]]:
+    def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
         eta, W = _unpack_ball(y, n)
-        return _ball_row(eta - W @ eta.conj(), W), _NAN_PHASE, {"margin": guard.margin}
+        return _ball_sample(eta - W @ eta.conj(), W)
 
     def segment(c: ComplexCoefficients | BallCoefficients) -> Advance:
         bc = _ball_coefficients(c)
@@ -881,7 +852,7 @@ def _lane_riccati(cfg: ExperimentConfig) -> Trajectory:
         return advance
 
     segments = [(seg.until, segment(seg.coefficients), observer) for seg in cfg.segments]
-    return _integrate_segments(segments, _pack_ball(eta0, W0), cfg.grid, chart="ball", guard=guard)
+    return _integrate_segments(segments, _pack_ball(eta0, W0), cfg.grid, chart="ball")
 
 
 def _fock_fidelity_series(cfg: ExperimentConfig, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -970,24 +941,21 @@ def _compare_all(cfg: ExperimentConfig) -> tuple[dict[str, Any], Trajectory]:
     phi_wn = wn.diagnostics["phi_wn"]
     alpha = wn.states[:, 0]
     w = wn.states[:, 1]
-    resid = (
-        -phi_wn
-        - np.array([p.phi for p in fc.phases])
-        + 0.5 * (w * np.conj(alpha) ** 2).imag
-    )
+    resid = -phi_wn - fc.diagnostics["phi"] + 0.5 * (w * np.conj(alpha) ** 2).imag
     # the residual is conserved at its initial value ½·Im(w₀·ᾱ₀²);
     # the co-integration check is its drift, not its magnitude
     report["phase_bridge_constant"] = float(resid[0])
     report["phase_bridge_max"] = float(np.max(np.abs(resid - resid[0])))
     disk = trajs["berezin-disk"]
     report["phase_pair_deviation"] = {
-        key: float(np.max(np.abs([getattr(pa, key) - getattr(pb, key) for pa, pb in zip(fc.phases, disk.phases)])))
-        for key in ("phi_D", "phi_B")
+        key: float(np.max(np.abs(fc.diagnostics[key] - disk.diagnostics[key]))) for key in ("phi_D", "phi_B")
     }
     return report, wn
 
 
 # --- reporting and file output -----------------------------------------------------------
+
+_PHASES = ("phi_D", "phi_B", "phi")
 
 
 def _energy_drift(cfg: ExperimentConfig, traj: Trajectory) -> float | None:
@@ -1021,9 +989,9 @@ def _build_report(cfg: ExperimentConfig, traj: Trajectory, extra: dict[str, Any]
         report["quasienergy_residual_max"] = float(np.max(traj.diagnostics["quasienergy_residual"]))
     if "phi_wn" in traj.diagnostics:
         report["phi_wn_final"] = float(traj.diagnostics["phi_wn"][-1])
-    last = traj.phases[-1]
-    if np.isfinite(last.phi):
-        report["phases_final"] = {"phi_D": last.phi_D, "phi_B": last.phi_B, "phi": last.phi}
+    phi = traj.diagnostics.get("phi")
+    if phi is not None and np.isfinite(phi[-1]):
+        report["phases_final"] = {key: float(traj.diagnostics[key][-1]) for key in _PHASES}
     report.update(extra)
     return report
 
@@ -1047,18 +1015,17 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(path: str, traj: Trajectory, n: int) -> None:
-    """Flat UTF-8 CSV: t, state columns (chart-named), phases, energy, margin."""
-    headers = ["t"] + _state_headers(traj.chart, n)
-    headers += ["phi_D", "phi_B", "phi", "energy", "margin"]
-    energy = traj.diagnostics.get("energy", np.full(traj.times.size, np.nan))
-    margin = traj.diagnostics["margin"]
+    """Flat UTF-8 CSV: t, state columns (chart-named), phases, energy, margin; NaN where a lane has none."""
+    tail = [*_PHASES, "energy", "margin"]
+    headers = ["t"] + _state_headers(traj.chart, n) + tail
+    nan = np.full(traj.times.size, np.nan)
+    columns = [traj.diagnostics.get(key, nan) for key in tail]
     lines = [",".join(headers)]
     for i, t in enumerate(traj.times):
         row = [_fmt(t)]
         for val in traj.states[i]:
             row += [_fmt(val.real), _fmt(val.imag)]
-        ph = traj.phases[i]
-        row += [_fmt(ph.phi_D), _fmt(ph.phi_B), _fmt(ph.phi), _fmt(energy[i]), _fmt(margin[i])]
+        row += [_fmt(col[i]) for col in columns]
         lines.append(",".join(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -1073,7 +1040,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[str, Any]:
         traj = _lane_wei_norman(cfg)
     else:
         traj = _LANES[cfg.method](cfg)
-    if cfg.fock_dim is not None and cfg.method in ("compare-all", "fock-oracle"):
+    if cfg.fock_dim is not None:
         fid, phase = _fock_fidelity_series(cfg, traj)
         extra["fock"] = {
             "dim": cfg.fock_dim,

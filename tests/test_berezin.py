@@ -12,7 +12,6 @@ from hypothesis import given, seed, settings, strategies as st
 from sjdyn.algebra import BallCoefficients, ComplexCoefficients
 from sjdyn.berezin import (
     LinearizationPair,
-    PhaseRecord,
     RiccatiSingularError,
     berry_phase_rhs,
     energy,
@@ -351,15 +350,6 @@ def test_to_ball_singular_y_raises():
 
 
 # --- phases and energy ----------------------------------------------------------
-
-
-def test_phase_record_consistency():
-    r = PhaseRecord(phi_D=1.0, phi_B=2.0, phi=3.0)
-    assert r.phi == r.phi_D + r.phi_B
-    with pytest.raises(ValueError, match="phi"):
-        PhaseRecord(phi_D=1.0, phi_B=2.0, phi=0.0)
-    # NaN marks "not tracked" and is allowed through
-    PhaseRecord(phi_D=float("nan"), phi_B=0.0, phi=0.0)
 
 
 def test_energy_zero_coefficients():

@@ -7,6 +7,7 @@ right-hand sides before any physics enters.
 """
 
 import dataclasses
+import importlib.util
 import json
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from scipy.linalg import expm
 import sjdyn
 from sjdyn import cli, runner
 from sjdyn.algebra import BallCoefficients, ComplexCoefficients
-from sjdyn.berezin import PhaseRecord, energy, rhs_fc
+from sjdyn.berezin import energy, rhs_fc
 from sjdyn.fockoracle import TruncationError
 from sjdyn.geometry import BargmannIndex, FCPoint
 from sjdyn.weinorman import conjugation_dictionary
@@ -126,35 +127,23 @@ def test_grid_times_land_exactly_on_both_endpoints():
 # --- trajectory container ---------------------------------------------------------
 
 
-def _phases(n):
-    return tuple(PhaseRecord(0.0, 0.0) for _ in range(n))
-
-
 def test_trajectory_rejects_length_mismatch():
     with pytest.raises(ValueError, match="matching lengths"):
-        Trajectory(np.arange(3.0), "raw", np.zeros((2, 1)), _phases(3))
-
-
-def test_trajectory_rejects_phase_count_mismatch():
-    with pytest.raises(ValueError, match="one record per sample"):
-        Trajectory(np.arange(3.0), "raw", np.zeros((3, 1)), _phases(2))
+        Trajectory(np.arange(3.0), "raw", np.zeros((2, 1)))
 
 
 def test_trajectory_rejects_unordered_times():
     with pytest.raises(ValueError, match="strictly increasing"):
-        Trajectory(np.array([0.0, 2.0, 1.0]), "raw", np.zeros((3, 1)), _phases(3))
+        Trajectory(np.array([0.0, 2.0, 1.0]), "raw", np.zeros((3, 1)))
 
 
 def test_trajectory_rejects_misshapen_diagnostic():
     with pytest.raises(ValueError, match="one value per sample"):
-        Trajectory(
-            np.arange(3.0), "raw", np.zeros((3, 1)), _phases(3),
-            diagnostics={"margin": np.zeros(2)},
-        )
+        Trajectory(np.arange(3.0), "raw", np.zeros((3, 1)), diagnostics={"margin": np.zeros(2)})
 
 
 def test_trajectory_coerces_dtypes():
-    tr = Trajectory([0, 1], "raw", [[1], [2]], _phases(2), {"m": np.ones(2)})
+    tr = Trajectory([0, 1], "raw", [[1], [2]], {"m": np.ones(2)})
     assert tr.times.dtype == float and tr.states.dtype == complex
     assert tr.chart == "raw"
 
@@ -180,7 +169,6 @@ def test_integrate_zero_rhs_holds_state(method):
     tr = integrate(lambda t, y: np.zeros_like(y), np.array([0.3, -1.2]), grid, method=method)
     assert tr.times[0] == 0.0 and tr.times[-1] == 2.0
     assert np.array_equal(tr.states, np.tile([0.3, -1.2], (21, 1)))
-    assert all(p.phi == 0.0 for p in tr.phases)
     assert tr.diagnostics == {}
 
 
@@ -210,29 +198,31 @@ def test_integrate_coerces_integer_input():
     assert np.array_equal(tr.states[-1], [1, 0])
 
 
-def test_integrate_observer_triple_is_recorded():
+def test_integrate_observer_row_and_columns_are_recorded():
     def obs(t, y):
-        return y.astype(complex) + 1j * t, PhaseRecord(t, 2 * t), {"load": t * t}
+        return y.astype(complex) + 1j * t, {"load": t * t, "phi": 3 * t}
 
     tr = integrate(
         lambda t, y: np.zeros_like(y), np.array([1.0]),
         TimeGrid(0.0, 1.0, 0.25), observer=obs,
     )
     assert np.allclose(tr.states[:, 0], 1.0 + 1j * tr.times)
-    # phi left unset falls back to phi_D + phi_B
-    assert tr.phases[2].phi == pytest.approx(3 * tr.times[2])
     assert np.allclose(tr.diagnostics["load"], tr.times**2)
+    assert np.allclose(tr.diagnostics["phi"], 3 * tr.times)
 
 
 def test_guard_failure_carries_time_context():
-    def guard(t, y):
+    # the observer is the one per-sample hook; an invariant it finds broken
+    # stops the run with the sample time
+    def obs(t, y):
         if y[0] > 0.5:
             raise InvariantViolation("ceiling hit")
+        return y.astype(complex), {}
 
     with pytest.raises(InvariantViolation, match=r"at t=0\.51: ceiling hit"):
         integrate(
             lambda t, y: np.ones_like(y), np.array([0.0]),
-            TimeGrid(0.0, 2.0, 0.01), guard=guard,
+            TimeGrid(0.0, 2.0, 0.01), observer=obs,
         )
 
 
@@ -463,6 +453,12 @@ def test_ball_initial_matrix_chart():
         pytest.param(lambda c: c["initial"].update(w=[1e308, 1e308]), "config.initial.w", id="w-overflow"),
         pytest.param(lambda c: c["coefficients"].update(eps_a_re=True), "config.coefficients.eps_a_re", id="eps-a-bool"),
         pytest.param(lambda c: c["coefficients"].pop("eps_plus_im"), "config.coefficients.eps_plus_im", id="eps-plus-im-missing"),
+        pytest.param(lambda c: c.update(method="wei-norman", fock={"dim": 50}), "config.fock", id="fock-not-read"),
+        pytest.param(
+            lambda c: c.update(method="riccati-linearized", initial={"chart": "product", "z": [0.1, 0.0], "w": [1 - 4e-16, 0.0]}),
+            "config.initial.w",
+            id="w-below-margin-floor",
+        ),
     ],
 )
 def test_from_json_rejects_bad_scalar_field(mutate, fragment):
@@ -539,6 +535,14 @@ def test_from_json_rejects_bad_scalar_field(mutate, fragment):
         pytest.param(lambda c: c["coefficients"]["eps_plus"][1].__setitem__(0, "x"), "config.coefficients.eps_plus[1][0]",
                      id="eps-plus-bad-pair"),
         pytest.param(lambda c: c["coefficients"].pop("eps0"), "config.coefficients.eps0", id="eps0-missing"),
+        pytest.param(
+            lambda c: c.update(method="riccati-linearized", initial={
+                "chart": "product", "z": [[0.1, 0.0], [0.0, 0.0]],
+                "W": [[[1 - 5e-16, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            }),
+            "config.initial.W",
+            id="W-below-margin-floor",
+        ),
     ],
 )
 def test_from_json_rejects_bad_ball_field(mutate, fragment):
@@ -841,13 +845,14 @@ def test_fock_oracle_gates_the_phase(tmp_path, capsys, monkeypatch):
 
 
 def test_disk_guard_rejects_nan():
+    bcc = conjugation_dictionary(ComplexCoefficients(eps_a=0.3, eps_0=0.8, eps_plus=0.2))
     with pytest.raises(InvariantViolation, match="reached 1"):
-        runner._disk_guard(0.0, np.array([0.0, 0.0, np.nan, 0.0]))
+        runner._disk_sample(bcc, 0j, complex(np.nan, 0.0), np.array([0.0, 0.0, np.nan, 0.0, 0.0, 0.0]), 0.25)
 
 
 def test_ball_guard_rejects_nan():
     with pytest.raises(InvariantViolation, match="symmetry"):
-        runner._ball_guard_factory(1)(0.0, np.array([0.0, 0.0, np.nan, 0.0]))
+        runner._ball_sample(np.zeros(1, dtype=complex), np.array([[complex(np.nan, 0.0)]]))
 
 
 @pytest.mark.parametrize("lane", ["berezin-ball", "riccati-linearized"])
@@ -1131,3 +1136,21 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     line = next(l for l in pyproject.read_text().splitlines() if l.startswith("version"))
     assert line == f'version = "{sjdyn.__version__}"'
+
+
+def test_perfbench_tracer_wraps_and_restores_runner_names(tmp_path, capsys):
+    # the benchmark's tracer patches runner names given as strings; a rename
+    # in runner must fail here, not only in `perfbench/run.py --trace 1`
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    lanes, energy_raw = runner._LANES, runner._energy_raw
+    path = write_config(tmp_path, "cfg.json", scalar_config(grid={"t0": 0.0, "t1": 0.01, "step": 1e-3}))
+    with tracing.Tracer() as tracer:
+        tracer.active = True
+        assert cli.main(["compare", "--config", path]) == 0
+    values = tracing.round_values(tracer)
+    assert all(values[f"runner.lane.{lane}.s"] > 0 for lane in tracing.LANES)
+    assert values["berezin.rhs.calls"] > 0 and values["cli.run_experiment.s"] > 0
+    assert runner._LANES is lanes and runner._energy_raw is energy_raw
