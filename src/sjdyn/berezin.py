@@ -73,6 +73,13 @@ class LinearizationPair:
         return BallPoint(_quotient_raw(self.X, self.Y))
 
 
+def _riccati_step(M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Unvalidated W ↦ X·Y⁻¹ with (X, Y) = M·(W, 1ₙ), for a propagator M of h_c."""
+    n = W.shape[0]
+    block = M @ np.vstack([W, np.eye(n)])
+    return _quotient_raw(block[:n], block[n:])
+
+
 def _quotient_raw(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Unvalidated W = X·Y⁻¹; raises :class:`RiccatiSingularError` near singular Y."""
     sv = np.linalg.svd(Y, compute_uv=False)
@@ -191,10 +198,7 @@ def riccati_by_linearization(c: BallCoefficients, W0: BallPoint, t: float) -> Ba
     """
     if W0.n != c.n:
         raise ValueError(f"dimension mismatch: W0 n={W0.n}, coefficients n={c.n}")
-    n = c.n
-    M = expm(float(t) * hc_matrix(c))
-    block = M @ np.vstack([W0.W, np.eye(n, dtype=complex)])
-    return LinearizationPair(X=block[:n], Y=block[n:]).to_ball()
+    return BallPoint(_riccati_step(expm(float(t) * hc_matrix(c)), W0.W))
 
 
 def riccati_propagate(
@@ -257,12 +261,6 @@ def berry_phase_rhs(p: FCPoint, deta: complex, dw: complex, k: BargmannIndex) ->
     return _berry_raw(p.eta1, p.w1, complex(deta), complex(dw), k.k)
 
 
-def _phase_rates(c: ComplexCoefficients, eta: complex, w: complex, deta: complex, dw: complex,
-                 k: float) -> tuple[float, float]:
-    """Unvalidated (φ̇_D, φ̇_B) at (η, w) moving with velocity (η̇, ẇ)."""
-    return -_energy_raw(c, eta, w, k), _berry_raw(eta, w, deta, dw, k)
-
-
 def phase_rhs(
     c: ComplexCoefficients, p: FCPoint, k: BargmannIndex
 ) -> tuple[float, float, float]:
@@ -275,5 +273,5 @@ def phase_rhs(
         raise ValueError("phase_rhs is implemented for n=1 only")
     eta, w = p.eta1, p.w1
     deta, dw = _rhs_fc_raw(c, eta, w)
-    dphi_d, dphi_b = _phase_rates(c, eta, w, deta, dw, k.k)
+    dphi_d, dphi_b = -_energy_raw(c, eta, w, k.k), _berry_raw(eta, w, deta, dw, k.k)
     return dphi_d, dphi_b, dphi_d + dphi_b

@@ -2,14 +2,15 @@
 
 An experiment is a JSON-described run of one solution method (or all of them
 side by side) for a hermitian Hamiltonian linear in the generators.  The
-configured coefficients always describe the physical Hamiltonian
-
-    H = ε_a·a + ε̄_a·a† + ε₀·K₀ + ε₊·K₊ + ε₋·K₋   (or its n-mode analogue);
-
+scalar coefficient forms describe H = ε_a·a + ε̄_a·a† + ε₀·K₀ + ε₊·K₊ + ε₋·K₋;
 the engine routes them to each method in that method's own convention — the
 coherent-state lanes receive ``conjugation_dictionary``-translated
 coefficients, the product-of-exponentials lane uses them as-is — so all lanes
 integrate the same physics and can be compared pointwise on a common chart.
+The matrix form, in the coherent-state convention, reaches the ball lanes as
+is: H = Σ(ε̄_i·a_i + ε_i·a_i†) + Σ_ij[(ε₀)_ji·¼(a_i†a_j + a_j·a_i†) + (ε̄₊)_ij·½a_i†a_j†
++ (ε₊)_ij·½a_i·a_j], the scalar form with ε_a = ε̄, ε₊ = ε̄₊ at n = 1.  The start
+is parsed once into (η₀, z₀ = η₀ − W₀·η̄₀, W₀), the configured chart exactly.
 
 Methods: berezin-disk | berezin-fc | berezin-ball | wei-norman |
 riccati-linearized | fock-oracle | compare-all.
@@ -40,19 +41,18 @@ from .algebra import (
     coeffs_from_real,
     coeffs_to_real,
 )
-from .berezin import (  # _berry_raw is unused here but stays a name perfbench/tracing.py wraps
+from .berezin import (
     _berry_raw,
     _energy_raw,
-    _phase_rates,
-    _quotient_raw,
     _rhs_ball_raw,
     _rhs_disk_raw,
     _rhs_fc_raw,
+    _riccati_step,
     hc_matrix,
     hr_matrix,
 )
 from .fockoracle import FockBasisSpec, _check_tail, chart_state_vector, hamiltonian_matrix, propagator
-from .geometry import MARGIN_MIN, BargmannIndex, JacobiPoint, _ball_margin, fc_inverse
+from .geometry import MARGIN_MIN, BargmannIndex, FCPoint, JacobiPoint, _ball_margin, fc_forward, fc_inverse
 from .weinorman import (
     RealState,
     conjugation_dictionary,
@@ -319,7 +319,8 @@ def _integrate_segments(
     (see :func:`_owner`); an invariant it finds broken gets the time added.
     Between samples each segment's ``advance(a, y, b)`` (from
     :func:`_rk_stepper`, or an exact propagator) maps y(a) to y(b); a grid
-    interval that contains a segment end is cut there.
+    interval that contains a segment end is cut there.  A state row or
+    column that is not finite stops the run at its first such sample.
     """
     times = grid.times()
     y = np.asarray(y0, dtype=float).copy()
@@ -340,12 +341,13 @@ def _integrate_segments(
         for j, a, b in _substeps(ends, t, times[i + 1]):
             y = segments[j][1](a, y, b)
 
-    return Trajectory(
-        times=times,
-        chart=chart,
-        states=np.vstack(rows),
-        diagnostics={k: np.asarray(v) for k, v in diags.items()},
-    )
+    states, columns = np.vstack(rows), {key: np.asarray(v) for key, v in diags.items()}
+    finite = {"state": np.isfinite(states).all(axis=1), **{key: np.isfinite(v) for key, v in columns.items()}}
+    ok = np.logical_and.reduce(list(finite.values()))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise InvariantViolation(f"at t={times[i]:.6g}: {', '.join(k for k, v in finite.items() if not v[i])} not finite")
+    return Trajectory(times=times, chart=chart, states=states, diagnostics=columns)
 
 
 # --- configuration ------------------------------------------------------------------
@@ -443,10 +445,9 @@ class ExperimentConfig:
     method: str
     grid: TimeGrid
     segments: tuple[_Segment, ...]
-    initial_chart: str  # "product" | "fc"
-    initial_state: np.ndarray  # n=1: [first, w]; ball: [z.., W row-major..]
-    n: int
-    ball_form: bool
+    eta0: np.ndarray  # (n,) start in the decoupling chart
+    z0: np.ndarray  # (n,) start in the product chart, z₀ = η₀ − W₀·η̄₀
+    W0: np.ndarray  # (n, n) start on the ball; n = 1 too
     k: BargmannIndex
     integrator: str = "rk4"
     csv_path: str | None = None
@@ -476,7 +477,6 @@ class ExperimentConfig:
 
         segments = cls._parse_segments(obj, grid)
         ball_form = isinstance(segments[0].coefficients, BallCoefficients)
-        n = segments[0].coefficients.n if ball_form else 1
 
         # ball-form coefficients drive the coherent-state matrix equations
         # directly; the scalar methods need the scalar Hamiltonian convention
@@ -485,7 +485,8 @@ class ExperimentConfig:
                 "config.method", f"{method} requires the complex or real coefficient form"
             )
 
-        chart, state = cls._parse_initial(_req(obj, "initial", "config"), n)
+        n = segments[0].coefficients.n if ball_form else 1
+        eta0, z0, W0 = cls._parse_initial(_req(obj, "initial", "config"), n)
 
         k_val = _as_float(obj.get("k", 0.25), "config.k")
         try:
@@ -534,10 +535,9 @@ class ExperimentConfig:
             method=method,
             grid=grid,
             segments=segments,
-            initial_chart=chart,
-            initial_state=state,
-            n=n,
-            ball_form=ball_form,
+            eta0=eta0,
+            z0=z0,
+            W0=W0,
             k=k,
             integrator=integrator,
             csv_path=out.get("csv"),
@@ -579,31 +579,32 @@ class ExperimentConfig:
         return tuple(segments)
 
     @staticmethod
-    def _parse_initial(obj: Any, n: int) -> tuple[str, np.ndarray]:
+    def _parse_initial(obj: Any, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(η₀, z₀, W₀) of shapes (n,), (n,), (n, n): the configured chart exactly, the other mapped once."""
         if not isinstance(obj, dict):
             raise ConfigError("config.initial", "expected an object")
         chart = _req(obj, "chart", "config.initial")
         if chart not in ("product", "fc"):
             raise ConfigError("config.initial.chart", f"expected 'product' or 'fc', got {chart!r}")
-        first_key = "z" if chart == "product" else "eta"
-        first = _req(obj, first_key, "config.initial")
-        if n == 1:
-            z = _complex_from_pair(first, f"config.initial.{first_key}")
-            w = _complex_from_pair(_req(obj, "w", "config.initial"), "config.initial.w")
-            r = math.hypot(w.real, w.imag)  # abs(w) raises OverflowError near the float limit
-            if not (r < 1.0 and _ball_margin(np.array([[w]])) > MARGIN_MIN):
-                raise ConfigError("config.initial.w", f"1 - |w|² must exceed {MARGIN_MIN:g}, got |w| = {r}")
-            return chart, np.array([z, w], dtype=complex)
-        z = _complex_array(first, f"config.initial.{first_key}", (n,))
-        W = _complex_array(_req(obj, "W", "config.initial"), "config.initial.W", (n, n))
+        key, w_key = ("z" if chart == "product" else "eta"), ("w" if n == 1 else "W")
+        path, w_path = f"config.initial.{key}", f"config.initial.{w_key}"
+        dims, w_dims = ((n,), (n, n)) if n > 1 else ((), ())  # n = 1 reads bare [re, im] pairs
+        first = _complex_array(_req(obj, key, "config.initial"), path, dims).reshape(n)
+        W = _complex_array(_req(obj, w_key, "config.initial"), w_path, w_dims).reshape(n, n)
         with np.errstate(all="ignore"):
             sym = float(np.max(np.abs(W - W.T)))
             bounded = bool(np.all(np.abs(W) < 1.0))  # every ball matrix has |W_ij| < 1
         if not sym <= 1e-12:
-            raise ConfigError("config.initial.W", f"not symmetric (residual {sym:.3e})")
+            raise ConfigError(w_path, f"not symmetric (residual {sym:.3e})")
         if not (bounded and _ball_margin(W) > MARGIN_MIN):
-            raise ConfigError("config.initial.W", f"1 - W·conj(W) must be positive definite above {MARGIN_MIN:g}")
-        return chart, np.concatenate([z, W.reshape(-1)])
+            raise ConfigError(w_path, f"1 - W·conj(W) must be positive definite above {MARGIN_MIN:g}")
+        try:
+            with np.errstate(all="ignore"):
+                if chart == "fc":
+                    return first, fc_forward(FCPoint(eta=first, W=W)).z, W
+                return fc_inverse(JacobiPoint(z=first, W=W)).eta, first, W
+        except ValueError:  # the image is not finite
+            raise ConfigError(path, "its image in the other chart is not finite") from None
 
     # -- derived accessors -------------------------------------------------------
 
@@ -611,27 +612,16 @@ class ExperimentConfig:
     def ends(self) -> list[float]:
         return [seg.until for seg in self.segments]
 
+    @property
+    def n(self) -> int:
+        return self.W0.shape[0]
+
+    @property
+    def ball_form(self) -> bool:
+        return isinstance(self.segments[0].coefficients, BallCoefficients)
+
     def coefficients_at(self, t: float) -> ComplexCoefficients | BallCoefficients:
         return self.segments[_owner(self.ends, t)].coefficients
-
-    def scalar_initial_fc(self) -> tuple[complex, complex]:
-        """Initial (η, w) for n=1 lanes, converting from the product chart if needed."""
-        first, w = complex(self.initial_state[0]), complex(self.initial_state[1])
-        if self.initial_chart == "fc":
-            return first, w
-        return _eta(first, w), w
-
-    def ball_initial(self) -> tuple[np.ndarray, np.ndarray]:
-        """Initial (z, W) for ball lanes (n=1 scalar configs embed as 1×1)."""
-        if self.n == 1:
-            eta, w = self.scalar_initial_fc()
-            z = eta - w * eta.conjugate()
-            return np.array([z], dtype=complex), np.array([[w]], dtype=complex)
-        first = self.initial_state[: self.n].copy()
-        W = self.initial_state[self.n :].reshape(self.n, self.n).copy()
-        if self.initial_chart == "fc":
-            return first - W @ first.conj(), W
-        return first, W
 
 
 # --- method lanes --------------------------------------------------------------------
@@ -646,7 +636,7 @@ class ExperimentConfig:
 
 
 def _eta(z: Any, w: Any) -> Any:
-    """η = (z + w·z̄)/(1 − |w|²), for Python scalars and arrays alike."""
+    """η = (z + w·z̄)/(1 − |w|²) at n = 1, per sample: on Python scalars and on sample columns."""
     return (z + w * z.conjugate()) / (1.0 - abs(w) ** 2)
 
 
@@ -683,7 +673,7 @@ def _lane_wei_norman(cfg: ExperimentConfig) -> Trajectory:
     on the same grid with dictionary-translated coefficients; φ itself is
     kept as the 'phi_wn' diagnostic (they differ — see phase_bridge).
     """
-    eta0, w0 = cfg.scalar_initial_fc()
+    eta0, w0 = cfg.eta0.item(), cfg.W0.item()
     k = cfg.k
     y0 = np.array([eta0.real, eta0.imag, w0.real, w0.imag, 0.0, 0.0, 0.0])
 
@@ -697,7 +687,7 @@ def _lane_wei_norman(cfg: ExperimentConfig) -> Trajectory:
             dphi = wn_phase_rhs(rc, s, k)
             eta, w = complex(y[0], y[1]), complex(y[2], y[3])
             deta, dw = _rhs_fc_raw(bcc, eta, w)
-            return np.array([dx, dy, du, dv, dphi, *_phase_rates(bcc, eta, w, deta, dw, k.k)])
+            return np.array([dx, dy, du, dv, dphi, -_energy_raw(bcc, eta, w, k.k), _berry_raw(eta, w, deta, dw, k.k)])
 
         def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
             eta, w = complex(y[0], y[1]), complex(y[2], y[3])
@@ -715,7 +705,7 @@ def _lane_wei_norman(cfg: ExperimentConfig) -> Trajectory:
 
 def _lane_berezin_fc(cfg: ExperimentConfig) -> Trajectory:
     """Decoupled coherent-state flow (η, w) with co-integrated phases."""
-    eta0, w0 = cfg.scalar_initial_fc()
+    eta0, w0 = cfg.eta0.item(), cfg.W0.item()
     k = cfg.k
     y0 = np.array([eta0.real, eta0.imag, w0.real, w0.imag, 0.0, 0.0])
 
@@ -726,7 +716,7 @@ def _lane_berezin_fc(cfg: ExperimentConfig) -> Trajectory:
             eta, w = complex(y[0], y[1]), complex(y[2], y[3])
             deta, dw = _rhs_fc_raw(bcc, eta, w)
             return np.array([deta.real, deta.imag, dw.real, dw.imag,
-                             *_phase_rates(bcc, eta, w, deta, dw, k.k)])
+                             -_energy_raw(bcc, eta, w, k.k), _berry_raw(eta, w, deta, dw, k.k)])
 
         def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
             eta, w = complex(y[0], y[1]), complex(y[2], y[3])
@@ -739,8 +729,7 @@ def _lane_berezin_fc(cfg: ExperimentConfig) -> Trajectory:
 
 def _lane_berezin_disk(cfg: ExperimentConfig) -> Trajectory:
     """Product-chart coherent-state flow (z, w); phases evaluated on the η image."""
-    z, W = cfg.ball_initial()
-    z0, w0 = z.item(), W.item()
+    z0, w0 = cfg.z0.item(), cfg.W0.item()
     k = cfg.k
     y0 = np.array([z0.real, z0.imag, w0.real, w0.imag, 0.0, 0.0])
 
@@ -753,7 +742,7 @@ def _lane_berezin_disk(cfg: ExperimentConfig) -> Trajectory:
             eta = _eta(z, w)
             deta, _ = _rhs_fc_raw(bcc, eta, w)
             return np.array([dz.real, dz.imag, dw.real, dw.imag,
-                             *_phase_rates(bcc, eta, w, deta, dw, k.k)])
+                             -_energy_raw(bcc, eta, w, k.k), _berry_raw(eta, w, deta, dw, k.k)])
 
         def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
             z, w = complex(y[0], y[1]), complex(y[2], y[3])
@@ -794,9 +783,7 @@ def _ball_sample(z: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, dict[str, fl
 
 def _lane_berezin_ball(cfg: ExperimentConfig) -> Trajectory:
     """Matrix flow (z, W); phases are not defined for this lane (NaN columns)."""
-    z0, W0 = cfg.ball_initial()
-    n = z0.size
-    y0 = _pack_ball(z0, W0)
+    n = cfg.n
 
     def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
         return _ball_sample(*_unpack_ball(y, n))
@@ -811,7 +798,7 @@ def _lane_berezin_ball(cfg: ExperimentConfig) -> Trajectory:
 
         return rhs, observer
 
-    return _integrate_lane(cfg, segment, y0, "ball")
+    return _integrate_lane(cfg, segment, _pack_ball(cfg.z0, cfg.W0), "ball")
 
 
 def _lane_riccati(cfg: ExperimentConfig) -> Trajectory:
@@ -821,11 +808,7 @@ def _lane_riccati(cfg: ExperimentConfig) -> Trajectory:
     η moves by Van Loan's augmented exp(h·[[h_r, F], [0, 0]]) on (Re η, −Im η, 1).
     Both exponentials are cached per segment and step length.
     """
-    n = cfg.n  # initial_state is [η or z.., W row-major..], for n=1 too
-    eta0, W0 = cfg.initial_state[:n], cfg.initial_state[n:].reshape(n, n)
-    if cfg.initial_chart == "product":
-        eta0 = fc_inverse(JacobiPoint(z=eta0, W=W0)).eta
-    eye = np.eye(n)
+    n = cfg.n
 
     def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
         eta, W = _unpack_ball(y, n)
@@ -845,14 +828,13 @@ def _lane_riccati(cfg: ExperimentConfig) -> Trajectory:
                 cache[h] = expm(h * hc), expm(h * affine)
             m_w, m_eta = cache[h]
             eta, W = _unpack_ball(y, n)
-            blk = m_w @ np.vstack([W, eye])
             xi = m_eta @ np.concatenate([eta.real, -eta.imag, [1.0]])
-            return _pack_ball(xi[:n] - 1j * xi[n : 2 * n], _quotient_raw(blk[:n], blk[n:]))
+            return _pack_ball(xi[:n] - 1j * xi[n : 2 * n], _riccati_step(m_w, W))
 
         return advance
 
     segments = [(seg.until, segment(seg.coefficients), observer) for seg in cfg.segments]
-    return _integrate_segments(segments, _pack_ball(eta0, W0), cfg.grid, chart="ball")
+    return _integrate_segments(segments, _pack_ball(cfg.eta0, cfg.W0), cfg.grid, chart="ball")
 
 
 def _fock_fidelity_series(cfg: ExperimentConfig, traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -872,8 +854,7 @@ def _fock_fidelity_series(cfg: ExperimentConfig, traj: Trajectory) -> tuple[np.n
     phase = np.full(times.size, np.nan)
     propagators: dict[int, Callable[[np.ndarray, float], np.ndarray]] = {}
 
-    eta0, w0 = cfg.scalar_initial_fc()
-    psi = chart_state_vector(eta0, w0, 0.0, spec).psi
+    psi = chart_state_vector(cfg.eta0.item(), cfg.W0.item(), 0.0, spec).psi
     phi_wn = traj.diagnostics["phi_wn"]
 
     t_prev = times[0]
@@ -1076,18 +1057,14 @@ def solution_fidelity(
     """
     if spec.sector != "even":
         raise ValueError("solution_fidelity uses the even sector (k=1/4)")
-    grid = TimeGrid(0.0, t, step)
-    cfg = ExperimentConfig(
-        method="fock-oracle",
-        grid=grid,
-        segments=(_Segment(grid.t1, c),),
-        initial_chart="fc",
-        initial_state=np.array([s0.alpha, s0.w]),
-        n=1,
-        ball_form=False,
-        k=spec.k,
-        fock_dim=spec.dim,
-    )
+    cfg = ExperimentConfig.from_json({
+        "method": "fock-oracle",
+        "grid": {"t0": 0.0, "t1": t, "step": step},
+        "coefficients": c.to_json(),
+        "initial": {"chart": "fc", "eta": [s0.alpha.real, s0.alpha.imag], "w": [s0.w.real, s0.w.imag]},
+        "k": spec.k.k,
+        "fock": {"dim": spec.dim},
+    })
     fock = run_experiment(cfg)["fock"]
     return fock["fidelity_min"], fock["phase_max"]
 

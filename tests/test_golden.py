@@ -3,9 +3,10 @@
 Each golden file holds the full JSON report, the CSV header and row count,
 and every 100th CSV row plus the last one.  Headers and row counts must
 match exactly and every number within 1e-12 (relative above 1), so that the
-verdict does not depend on the BLAS build.  Regenerate with
+verdict does not depend on the BLAS build.  Regenerate all of them, or only
+the named ones, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
 
 import json
@@ -49,6 +50,10 @@ CONFIGS = {
         "initial": SCALAR_INITIAL, "k": 0.25,
     },
     "ball-compare": {"method": "compare-all", "grid": GRID, "coefficients": BALL, "initial": BALL_INITIAL},
+    "ball-product-compare": {
+        "method": "compare-all", "grid": GRID, "coefficients": BALL,
+        "initial": {"chart": "product", "z": BALL_INITIAL["eta"], "W": BALL_INITIAL["W"]},
+    },
     "fock-oracle": {
         "method": "fock-oracle", "grid": GRID, "coefficients": SCALAR,
         "initial": SCALAR_INITIAL, "fock": {"dim": 250},
@@ -116,9 +121,13 @@ def test_readme_config_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CONFIGS)
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        sys.exit(f"unknown golden config(s) {unknown}; choose from {sorted(CONFIGS)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CONFIGS:
+        for name in names:
             summary = summarize(name, Path(tmp))
             with open(GOLDEN / f"{name}.json", "w", encoding="utf-8", newline="\n") as fh:
                 json.dump(summary, fh, indent=1, sort_keys=True)

@@ -304,26 +304,58 @@ def test_schedule_segments_select_by_strict_until():
 
 
 def test_scalar_initial_product_chart_converts_to_fc():
-    cfg = scalar_config(initial={"chart": "product", "z": [0.2, -0.1], "w": [0.1, 0.15]})
-    eta, w = ExperimentConfig.from_json(cfg).scalar_initial_fc()
+    cfg = ExperimentConfig.from_json(scalar_config(initial={"chart": "product", "z": [0.2, -0.1], "w": [0.1, 0.15]}))
     z, w0 = 0.2 - 0.1j, 0.1 + 0.15j
-    assert w == w0
-    assert eta == pytest.approx((z + w0 * np.conj(z)) / (1 - abs(w0) ** 2))
+    assert cfg.z0.shape == (1,) and cfg.W0.shape == (1, 1) and cfg.n == 1
+    assert cfg.z0.item() == z and cfg.W0.item() == w0  # the configured chart, exactly
+    assert cfg.eta0.item() == pytest.approx((z + w0 * np.conj(z)) / (1 - abs(w0) ** 2))
 
 
 def test_ball_initial_embeds_scalar_chart():
-    z, W = ExperimentConfig.from_json(scalar_config()).ball_initial()
+    cfg = ExperimentConfig.from_json(scalar_config())
     eta, w = 0.2 - 0.1j, 0.1 + 0.15j
-    assert W.shape == (1, 1) and W[0, 0] == w
-    assert z[0] == pytest.approx(eta - w * np.conj(eta))
+    assert cfg.W0.shape == (1, 1) and cfg.W0[0, 0] == w
+    assert cfg.eta0.item() == eta
+    assert cfg.z0.item() == pytest.approx(eta - w * np.conj(eta))
+
+
+def test_matrix_form_is_in_the_coherent_state_convention():
+    # the ball lanes take a matrix form untranslated: at n = 1 it is the scalar
+    # drive with eps = conj(ε_a) and eps_plus = conj(ε₊)
+    c = SCALAR_COEFFS
+    matrix = {
+        "n": 1,
+        "eps": [[c["eps_a_re"], -c["eps_a_im"]]],
+        "eps0": [[[c["eps_0"], 0.0]]],
+        "eps_plus": [[[c["eps_plus_re"], -c["eps_plus_im"]]]],
+    }
+    for lane in ("berezin-ball", "riccati-linearized"):
+        scalar = runner._LANES[lane](ExperimentConfig.from_json(scalar_config(method=lane)))
+        ball = runner._LANES[lane](ExperimentConfig.from_json(scalar_config(method=lane, coefficients=matrix)))
+        assert np.array_equal(scalar.states, ball.states), lane
 
 
 def test_ball_initial_matrix_chart():
-    z, W = ExperimentConfig.from_json(ball_config()).ball_initial()
+    cfg = ExperimentConfig.from_json(ball_config())
     eta = np.array([0.2 - 0.1j, 0.3j])
     W_in = np.array([[0.1, 0.2j], [0.2j, -0.1]])
-    assert np.allclose(W, W_in)
-    assert np.allclose(z, eta - W_in @ eta.conj())
+    assert cfg.n == 2 and cfg.ball_form
+    assert np.allclose(cfg.W0, W_in)
+    assert np.allclose(cfg.eta0, eta)
+    assert np.allclose(cfg.z0, eta - W_in @ eta.conj())
+
+
+def test_product_start_near_the_edge_is_row_zero_exactly():
+    # the product-chart lanes start from the configured z itself, not from
+    # its round trip through η, whose condition grows like 1/(1 − |w|²)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        r, theta = 1.0 - 10.0 ** rng.uniform(-6, -2), rng.uniform(0, 2 * np.pi)
+        z = [float(v) for v in rng.uniform(-1, 1, 2)]
+        initial = {"chart": "product", "z": z, "w": [r * np.cos(theta), r * np.sin(theta)]}
+        cfg = ExperimentConfig.from_json(scalar_config(grid={"t0": 0.0, "t1": 1e-3, "step": 1e-3}, initial=initial))
+        for lane in ("berezin-disk", "berezin-ball"):
+            assert runner._LANES[lane](cfg).states[0, 0] == complex(*z), (lane, initial)
 
 
 @pytest.mark.parametrize(
@@ -458,6 +490,16 @@ def test_ball_initial_matrix_chart():
             lambda c: c.update(method="riccati-linearized", initial={"chart": "product", "z": [0.1, 0.0], "w": [1 - 4e-16, 0.0]}),
             "config.initial.w",
             id="w-below-margin-floor",
+        ),
+        pytest.param(
+            lambda c: c.update(initial={"chart": "fc", "eta": [1e308, 1e308], "w": [0.9, 0.0]}),
+            "config.initial.eta",
+            id="eta-image-overflow",
+        ),
+        pytest.param(
+            lambda c: c.update(initial={"chart": "product", "z": [1e308, 1e308], "w": [0.9, 0.0]}),
+            "config.initial.z",
+            id="z-image-overflow",
         ),
     ],
 )
@@ -661,7 +703,7 @@ def test_schedule_drive_lanes_agree_across_segment_end(tmp_path, capsys, step, f
     assert rep["energy_drift"] <= 1e-12
 
     # the lanes agree with an independent RK4 run segment by segment
-    y, t = np.array(cfg.scalar_initial_fc()), cfg.grid.t0
+    y, t = np.array([cfg.eta0.item(), cfg.W0.item()]), cfg.grid.t0
     for seg in cfg.segments:
         c = conjugation_dictionary(seg.coefficients)
         y = rk4(lambda _, v, c=c: np.array(rhs_fc(c, FCPoint.scalar(v[0], v[1]))), y, t, seg.until, 1000)
@@ -861,6 +903,19 @@ def test_nan_ball_margin_stops_the_run(monkeypatch, lane):
     monkeypatch.setattr(runner, "_ball_margin", lambda W: float("nan"))
     with pytest.raises(InvariantViolation, match="ball margin reached nan"):
         runner._LANES[lane](cfg)
+
+
+@pytest.mark.parametrize("lane", ["berezin-disk", "riccati-linearized"])
+def test_non_finite_samples_stop_the_run(tmp_path, capsys, lane):
+    # a drive of 1e300 overflows η within the first step; from t = 0.1 the
+    # energy (berezin-disk) or the rows (riccati-linearized) are not finite
+    cfg = scalar_config(method=lane, grid={"t0": 0.0, "t1": 1.0, "step": 0.1})
+    cfg["coefficients"]["eps_a_re"] = 1e300
+    with np.errstate(all="ignore"):
+        with pytest.raises(InvariantViolation, match=r"^at t=0\.1: .*not finite"):
+            run_experiment(ExperimentConfig.from_json(cfg))
+        assert cli.main(["run", "--config", write_config(tmp_path, "huge.json", cfg)]) == 1
+    assert "run failed" in capsys.readouterr().err
 
 
 def test_tolerance_gates_fail_on_nan():
