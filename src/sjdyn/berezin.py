@@ -106,11 +106,31 @@ def _rhs_fc_raw(c: ComplexCoefficients, eta: complex, w: complex) -> tuple[compl
     return deta, dw
 
 
-def _rhs_ball_raw(c: BallCoefficients, z: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    WE = W @ c.eps0
-    dW = -1j * (c.eps_minus + 0.5 * (WE + WE.T) + W @ c.eps_plus @ W)
-    dz = -1j * (c.eps + W @ c.eps.conj() + 0.5 * c.eps0.T @ z + W @ c.eps_plus @ z)
-    return dz, dW
+def _ball_terms(c: BallCoefficients) -> tuple[np.ndarray, ...]:
+    """(ε, ε̄, ε₀, ½ε₀ᵗ, ε₊, ε₋) of c, prepared once per segment for :func:`_rhs_ball_raw`."""
+    return c.eps, c.eps.conj(), c.eps0, 0.5 * c.eps0.T, c.eps_plus, c.eps_minus
+
+
+def _rhs_ball_raw(p: tuple[np.ndarray, ...], z: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Unvalidated (ż, Ẇ) as one real vector: (ż, Ẇ.ravel()) in complex form, viewed as floats.
+
+    The real and imaginary parts interleave, the layout of the ball lanes'
+    state.  W·ε₊ is formed once for both W·ε₊·W and W·ε₊·z; every sum runs
+    in the order the equations are printed, so the bits are those of the
+    printed form.
+    """
+    eps, eps_bar, eps0, half_eps0_t, eps_plus, eps_minus = p
+    n = z.shape[0]
+    out = np.empty(n + n * n, dtype=complex)
+    dz, dW = out[:n], out[n:].reshape(n, n)
+    WE, WP = W @ eps0, W @ eps_plus
+    np.add(eps_minus, 0.5 * (WE + WE.T), out=dW)
+    dW += WP @ W
+    np.add(eps, W @ eps_bar, out=dz)
+    dz += half_eps0_t @ z
+    dz += WP @ z
+    out *= -1j
+    return out.view(float)
 
 
 def _rhs_fc_ball_raw(c: BallCoefficients, eta: np.ndarray) -> np.ndarray:
@@ -139,7 +159,8 @@ def rhs_ball(c: BallCoefficients, p: JacobiPoint) -> tuple[np.ndarray, np.ndarra
     """Time derivatives (ż, Ẇ) of the matrix flow at p; Ẇ stays symmetric."""
     if p.n != c.n:
         raise ValueError(f"dimension mismatch: point n={p.n}, coefficients n={c.n}")
-    return _rhs_ball_raw(c, p.z, p.W.W)
+    d = _rhs_ball_raw(_ball_terms(c), p.z, p.W.W).view(complex)
+    return d[: c.n], d[c.n :].reshape(c.n, c.n)
 
 
 def rhs_fc_ball(c: BallCoefficients, eta: np.ndarray) -> np.ndarray:

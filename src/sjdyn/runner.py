@@ -42,6 +42,7 @@ from .algebra import (
     coeffs_to_real,
 )
 from .berezin import (
+    _ball_terms,
     _berry_raw,
     _energy_raw,
     _rhs_ball_raw,
@@ -172,9 +173,9 @@ Advance = Callable[[float, np.ndarray, float], np.ndarray]  # (a, y(a), b) -> y(
 
 # --- integrators -------------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
+# Dormand-Prince 5(4) tableau; row i of _DP_A weighs the first i stage slopes
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = tuple(np.array(row)[:, None] for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -182,11 +183,11 @@ _DP_A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
+))
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])[:, None]
+_DP_E = _DP_B5 - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+)[:, None]  # b5 − b4, the weights of the error estimate
 
 
 def _rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -197,6 +198,15 @@ def _rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float, y: np.nd
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _combine(weights: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Σ_j weights[j]·ks[j] for a column of weights, summed in order from 0.0.
+
+    That is the order of Python's ``sum(w * k for …)``, down to its leading
+    ``0 +`` that turns a −0.0 sum into +0.0, so the bits are the textbook ones.
+    """
+    return np.add.reduce(weights * ks[: weights.shape[0]], axis=0, initial=0.0)
+
+
 def _rk45_span(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     t: float,
@@ -204,21 +214,28 @@ def _rk45_span(
     t_end: float,
     h0: float,
 ) -> tuple[np.ndarray, float]:
-    """Adaptive Dormand-Prince from t to t_end; returns (y(t_end), last h)."""
+    """Adaptive Dormand-Prince from t to t_end; returns (y(t_end), last h).
+
+    The seven stage slopes of a step are the rows of one (7, m) array.  An
+    error estimate that is not finite raises :class:`InvariantViolation`:
+    no step size can mend a state that has overflowed.
+    """
     h = h0
     h_min = 1e-14 * max(1.0, abs(t_end))
+    ks = np.empty((7, y.size))
     while t < t_end - 1e-15 * max(1.0, abs(t_end)):
         h = min(h, t_end - t)
         if h < h_min:
             raise StepUnderflowError(f"step underflow at t={t:.6g} (h={h:.3e})")
-        ks = [rhs(t, y)]
+        ks[0] = rhs(t, y)
         for i in range(1, 7):
-            yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
-            ks.append(rhs(t + _DP_C[i] * h, yi))
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        err_vec = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
+            ks[i] = rhs(t + _DP_C[i] * h, y + h * _combine(_DP_A[i], ks))
+        y5 = y + h * _combine(_DP_B5, ks)
+        err_vec = h * _combine(_DP_E, ks)
         scale = RK45_ATOL + RK45_RTOL * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.max(np.abs(err_vec) / scale)) if y.size else 0.0
+        if not math.isfinite(err):
+            raise InvariantViolation(f"at t={t:.6g}: state not finite")
         if err <= 1.0:
             t += h
             y = y5
@@ -761,13 +778,19 @@ def _ball_coefficients(c: ComplexCoefficients | BallCoefficients) -> BallCoeffic
 
 
 def _pack_ball(z: np.ndarray, W: np.ndarray) -> np.ndarray:
-    return np.concatenate([z.real, z.imag, W.reshape(-1).real, W.reshape(-1).imag])
+    """The ball lanes' real state: (z, W.ravel()) as one complex vector, viewed as floats.
+
+    Real and imaginary parts interleave (Re z₁, Im z₁, …, Re W₁₁, Im W₁₁, …).
+    The steppers act elementwise and the RK45 error norm is a max, so the
+    order of the components changes no arithmetic.
+    """
+    return np.concatenate([z, W.reshape(-1)], dtype=complex).view(float)
 
 
 def _unpack_ball(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    z = y[:n] + 1j * y[n : 2 * n]
-    flat = y[2 * n : 2 * n + n * n] + 1j * y[2 * n + n * n :]
-    return z, flat.reshape(n, n)
+    """(z, W) of a packed ball state, as views of y: no copies."""
+    c = y.view(complex)
+    return c[:n], c[n:].reshape(n, n)
 
 
 def _ball_sample(z: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
@@ -789,12 +812,10 @@ def _lane_berezin_ball(cfg: ExperimentConfig) -> Trajectory:
         return _ball_sample(*_unpack_ball(y, n))
 
     def segment(c: ComplexCoefficients | BallCoefficients) -> tuple[Callable, Observer]:
-        bc = _ball_coefficients(c)
+        terms = _ball_terms(_ball_coefficients(c))
 
         def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            z, W = _unpack_ball(y, n)
-            dz, dW = _rhs_ball_raw(bc, z, W)
-            return _pack_ball(dz, dW)
+            return _rhs_ball_raw(terms, *_unpack_ball(y, n))
 
         return rhs, observer
 

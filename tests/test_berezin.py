@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from sjdyn import berezin
 from sjdyn.algebra import BallCoefficients, ComplexCoefficients
 from sjdyn.berezin import (
     LinearizationPair,
@@ -168,6 +169,26 @@ def test_rhs_ball_keeps_w_symmetric():
             c = draw_ball_coeffs(rng, n)
             _, dW = rhs_ball(c, random_jacobi_point(rng, n))
             assert np.max(np.abs(dW - dW.T)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_prepared_rhs_ball_is_the_printed_equations_bit_for_bit(n):
+    # the coefficients prepared once per segment and the one W·ε₊ shared by
+    # W·ε₊·W and W·ε₊·z must give the bits of the equations as printed
+    rng = np.random.default_rng(60 + n)
+    for _ in range(10):
+        c = draw_ball_coeffs(rng, n)
+        p = random_jacobi_point(rng, n)
+        z, W = p.z, p.W.W
+        WE = W @ c.eps0
+        dW = -1j * (c.eps_minus + 0.5 * (WE + WE.T) + W @ c.eps_plus @ W)
+        dz = -1j * (c.eps + W @ c.eps.conj() + 0.5 * c.eps0.T @ z + W @ c.eps_plus @ z)
+        terms = berezin._ball_terms(c)
+        packed = berezin._rhs_ball_raw(terms, z, W)
+        assert packed.dtype == float
+        assert np.array_equal(packed.view(complex), np.concatenate([dz, dW.reshape(-1)]))
+        dz_pub, dW_pub = rhs_ball(c, p)
+        assert np.array_equal(dz_pub, dz) and np.array_equal(dW_pub, dW)
 
 
 def test_rhs_ball_dimension_mismatch():

@@ -9,6 +9,9 @@ right-hand sides before any physics enters.
 import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +247,144 @@ def test_adaptive_step_underflows_on_finite_time_blowup():
                 lambda t, y: y * y, np.array([1.0]),
                 TimeGrid(0.0, 2.0, 0.1), method="rk45",
             )
+
+
+def test_rk45_stops_on_a_state_that_is_not_finite():
+    # a NaN error estimate used to reject the step, grow h and retry it forever;
+    # the call cap turns such a loop into a failure here
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        assert len(calls) < 1000, "the same step is retried without end"
+        return np.full_like(y, np.nan if t > 0.25 else 0.0)
+
+    with pytest.raises(InvariantViolation, match=r"^at t=0\.2: state not finite$"):
+        integrate(rhs, np.array([1.0, 0.0]), TimeGrid(0.0, 1.0, 0.1), method="rk45")
+
+
+# Dormand-Prince 5(4) as printed: (c_i, a_i) per stage, then b5 and b4
+_TEXTBOOK_DP = (
+    (0.0, ()),
+    (1 / 5, (1 / 5,)),
+    (3 / 10, (3 / 40, 9 / 40)),
+    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
+    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
+    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    (1.0, (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+)
+_TEXTBOOK_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_TEXTBOOK_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _textbook_rk45_span(rhs, t, y, t_end, h, verdicts):
+    """The adaptive step with every combination written as sum(a * k for …)."""
+    while t < t_end - 1e-15 * max(1.0, abs(t_end)):
+        h = min(h, t_end - t)
+        ks = [rhs(t, y)]
+        for c, a in _TEXTBOOK_DP[1:]:
+            ks.append(rhs(t + c * h, y + h * sum(ai * k for ai, k in zip(a, ks))))
+        y5 = y + h * sum(b * k for b, k in zip(_TEXTBOOK_B5, ks))
+        err_vec = h * sum((b5 - b4) * k for b5, b4, k in zip(_TEXTBOOK_B5, _TEXTBOOK_B4, ks))
+        scale = runner.RK45_ATOL + runner.RK45_RTOL * np.maximum(np.abs(y), np.abs(y5))
+        err = float(np.max(np.abs(err_vec) / scale))
+        verdicts.append(err <= 1.0)
+        if err <= 1.0:
+            t += h
+            y = y5
+        factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+    return y, h
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_stacked_rk45_steps_are_the_textbook_sums_bit_for_bit():
+    rng = np.random.default_rng(17)
+    m = 24
+    A = rng.normal(size=(m, m))
+
+    def recording(log):
+        def rhs(t, y):
+            log.append((t, y.copy()))
+            d = A @ y
+            d[-1] = y[-1]  # stays ±0.0: a stage sum that does not start from +0.0 flips its sign
+            return d
+
+        return rhs
+
+    y0 = rng.normal(size=m)
+    y0[-1] = -0.0
+    got, want, verdicts = [], [], []
+    y, h, y_ref, h_ref = y0, 1.0, y0, 1.0
+    for t_end in (0.5, 1.0, 1.5):
+        y, h = runner._rk45_span(recording(got), t_end - 0.5, y, t_end, h)
+        y_ref, h_ref = _textbook_rk45_span(recording(want), t_end - 0.5, y_ref, t_end, h_ref, verdicts)
+        assert np.array_equal(_bits(y), _bits(y_ref)) and h == h_ref
+    assert False in verdicts and verdicts.count(True) > 10  # rejected steps and accepted ones
+    assert len(got) == len(want) == 7 * len(verdicts)
+    for (t_got, y_got), (t_want, y_want) in zip(got, want):
+        assert t_got == t_want and np.array_equal(_bits(y_got), _bits(y_want))
+
+
+def test_cli_overflowing_rk45_run_exits_one_within_seconds(tmp_path):
+    # a child process with a timeout, so that a return of the endless retry
+    # fails this test instead of hanging the suite
+    cfg = scalar_config(method="berezin-ball", integrator="rk45", grid={"t0": 0.0, "t1": 10.0, "step": 1e-3})
+    cfg["coefficients"]["eps_a_re"] = 1.7e308
+    src = str(Path(sjdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sjdyn.cli", "run", "--config", write_config(tmp_path, "overflow.json", cfg)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1
+    assert "run failed: at t=0: state not finite" in proc.stderr
+
+
+# --- the ball lanes' state layout ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_pack_round_trips_exactly(n):
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    W = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    y = runner._pack_ball(z, W)
+    assert y.dtype == float and y.shape == (2 * (n + n * n),)
+    z_back, W_back = runner._unpack_ball(y, n)
+    assert np.array_equal(z_back, z) and np.array_equal(W_back, W)
+    assert np.shares_memory(z_back, y) and np.shares_memory(W_back, y)  # views, not copies
+
+
+@pytest.mark.parametrize("lane, integrator", [
+    ("berezin-ball", "rk4"), ("berezin-ball", "rk45"), ("riccati-linearized", "rk4"),
+])
+def test_ball_rows_do_not_share_the_integrator_state(monkeypatch, lane, integrator):
+    # the lanes read (z, W) through views of the state; every row the
+    # observer returns must be a copy
+    samples = []
+    integrate_segments = runner._integrate_segments
+
+    def spy(observer):
+        def observe(t, y):
+            row, columns = observer(t, y)
+            samples.append((y, row))
+            return row, columns
+
+        return observe
+
+    def spy_segments(segments, y0, grid, *, chart):
+        segments = [(end, advance, spy(observer)) for end, advance, observer in segments]
+        return integrate_segments(segments, y0, grid, chart=chart)
+
+    monkeypatch.setattr(runner, "_integrate_segments", spy_segments)
+    grid = {"t0": 0.0, "t1": 0.05, "step": 0.01}
+    traj = runner._LANES[lane](ExperimentConfig.from_json(ball_config(method=lane, integrator=integrator, grid=grid)))
+    assert len(samples) == traj.times.size
+    assert not any(np.shares_memory(row, y) or np.shares_memory(traj.states, y) for y, row in samples)
 
 
 # --- config parsing ---------------------------------------------------------------
@@ -1193,13 +1334,18 @@ def test_version_matches_pyproject():
     assert line == f'version = "{sjdyn.__version__}"'
 
 
-def test_perfbench_tracer_wraps_and_restores_runner_names(tmp_path, capsys):
-    # the benchmark's tracer patches runner names given as strings; a rename
-    # in runner must fail here, not only in `perfbench/run.py --trace 1`
+def _perfbench_tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_tracer_wraps_and_restores_runner_names(tmp_path, capsys):
+    # the benchmark's tracer patches runner names given as strings; a rename
+    # in runner must fail here, not only in `perfbench/run.py --trace 1`
+    tracing = _perfbench_tracing()
     lanes, energy_raw = runner._LANES, runner._energy_raw
     path = write_config(tmp_path, "cfg.json", scalar_config(grid={"t0": 0.0, "t1": 0.01, "step": 1e-3}))
     with tracing.Tracer() as tracer:
@@ -1209,3 +1355,15 @@ def test_perfbench_tracer_wraps_and_restores_runner_names(tmp_path, capsys):
     assert all(values[f"runner.lane.{lane}.s"] > 0 for lane in tracing.LANES)
     assert values["berezin.rhs.calls"] > 0 and values["cli.run_experiment.s"] > 0
     assert runner._LANES is lanes and runner._energy_raw is energy_raw
+
+
+def test_perfbench_tracer_counts_every_ball_rhs_call():
+    # the ball lane must reach its right-hand side through runner._rhs_ball_raw,
+    # or berezin.rhs stops counting it: four calls per RK4 step
+    tracing = _perfbench_tracing()
+    cfg = ExperimentConfig.from_json(ball_config(method="berezin-ball", grid={"t0": 0.0, "t1": 0.01, "step": 1e-3}))
+    steps = cfg.grid.times().size - 1
+    with tracing.Tracer() as tracer:
+        tracer.active = True
+        run_experiment(cfg)
+    assert steps == 10 and tracing.round_values(tracer)["berezin.rhs.calls"] == 4 * steps
