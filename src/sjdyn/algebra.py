@@ -93,6 +93,18 @@ def adjoint_matrix(i: GeneratorIndex | int) -> np.ndarray:
     return _BRACKETS[idx - 1].T.astype(complex)
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential: ``scipy.linalg.expm``, imported on the first call.
+
+    The only scipy routine in the package.  Only the linearizations and the
+    brute-force chains take a matrix exponential, so importing sjdyn and
+    integrating the equations of motion never load scipy.linalg.
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
+
+
 @dataclass(frozen=True)
 class GeneratorVector:
     """An algebra element as a coefficient 6-vector over (I, a†, a, K₊, K₀, K₋)."""

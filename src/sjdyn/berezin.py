@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .algebra import BallCoefficients, ComplexCoefficients, ball_real_decomposition
+from .algebra import BallCoefficients, ComplexCoefficients, ball_real_decomposition, expm
 from .geometry import BallPoint, BargmannIndex, FCPoint, JacobiPoint
 
 __all__ = [

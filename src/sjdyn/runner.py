@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (
     BallCoefficients,
@@ -40,6 +39,7 @@ from .algebra import (
     RealCoefficients,
     coeffs_from_real,
     coeffs_to_real,
+    expm,
 )
 from .berezin import (
     _ball_terms,
@@ -268,11 +268,13 @@ def _substeps(ends: Sequence[float], a: float, b: float) -> Iterator[tuple[int, 
 
 
 def _checked_rhs(rhs: Callable[[float, np.ndarray], np.ndarray], t: float, yv: np.ndarray) -> np.ndarray:
-    # a chart violation at an RK stage point aborts with time context
+    # a chart violation or an overflow at an RK stage point aborts with time context
     try:
         return np.asarray(rhs(t, yv), dtype=float)
     except (InvariantViolation, ValueError) as exc:
         raise InvariantViolation(f"at t={t:.6g}: {exc}") from exc
+    except ArithmeticError as exc:  # Python complex arithmetic raises where numpy gives inf
+        raise InvariantViolation(f"at t={t:.6g}: right-hand side not finite ({exc})") from exc
 
 
 def _rk_stepper(method: str, h0: float) -> Callable[[Callable[[float, np.ndarray], np.ndarray]], Advance]:
@@ -333,8 +335,8 @@ def _integrate_segments(
     """The one sample loop, for a piecewise-constant drive given as (end, advance, observer).
 
     Each grid time is sampled by the observer of the segment that owns it
-    (see :func:`_owner`); an invariant it finds broken gets the time added.
-    Between samples each segment's ``advance(a, y, b)`` (from
+    (see :func:`_owner`); an invariant it finds broken, or an overflow, gets
+    the time added.  Between samples each segment's ``advance(a, y, b)`` (from
     :func:`_rk_stepper`, or an exact propagator) maps y(a) to y(b); a grid
     interval that contains a segment end is cut there.  A state row or
     column that is not finite stops the run at its first such sample.
@@ -350,6 +352,8 @@ def _integrate_segments(
             row, dg = segments[_owner(ends, t)][2](t, y)
         except InvariantViolation as exc:
             raise InvariantViolation(f"at t={t:.6g}: {exc}") from exc
+        except ArithmeticError as exc:
+            raise InvariantViolation(f"at t={t:.6g}: sample not finite ({exc})") from exc
         rows.append(np.asarray(row, dtype=complex))
         for key, val in dg.items():
             diags.setdefault(key, []).append(float(val))
@@ -1034,21 +1038,27 @@ def write_csv(path: str, traj: Trajectory, n: int) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict[str, Any]:
-    """Run the configured method; write CSV/JSON if paths are set; return the report."""
+    """Run the configured method; write CSV/JSON if paths are set; return the report.
+
+    numpy's floating-point warnings are off while the lanes run: a state
+    that overflows stops the run through the finiteness checks, with time
+    context, and prints nothing else.
+    """
     extra: dict[str, Any] = {}
-    if cfg.method == "compare-all":
-        extra, traj = _compare_all(cfg)
-    elif cfg.method == "fock-oracle":
-        traj = _lane_wei_norman(cfg)
-    else:
-        traj = _LANES[cfg.method](cfg)
-    if cfg.fock_dim is not None:
-        fid, phase = _fock_fidelity_series(cfg, traj)
-        extra["fock"] = {
-            "dim": cfg.fock_dim,
-            "fidelity_min": float(np.nanmin(fid)),
-            "phase_max": float(np.nanmax(np.abs(phase))),
-        }
+    with np.errstate(all="ignore"):
+        if cfg.method == "compare-all":
+            extra, traj = _compare_all(cfg)
+        elif cfg.method == "fock-oracle":
+            traj = _lane_wei_norman(cfg)
+        else:
+            traj = _LANES[cfg.method](cfg)
+        if cfg.fock_dim is not None:
+            fid, phase = _fock_fidelity_series(cfg, traj)
+            extra["fock"] = {
+                "dim": cfg.fock_dim,
+                "fidelity_min": float(np.nanmin(fid)),
+                "phase_max": float(np.nanmax(np.abs(phase))),
+            }
 
     report = _build_report(cfg, traj, extra)
     if cfg.csv_path:

@@ -25,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (
     ComplexCoefficients,
     GeneratorVector,
     RealCoefficients,
     adjoint_matrix,
+    expm,
 )
 from .geometry import BargmannIndex
 

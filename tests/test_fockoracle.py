@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sjdyn import fockoracle, runner
+from sjdyn import algebra, berezin, fockoracle, runner, weinorman
 from sjdyn.algebra import ComplexCoefficients, displacement_phase
 from sjdyn.geometry import BargmannIndex, JacobiPoint, overlap_log
 from sjdyn.fockoracle import (
@@ -423,3 +423,31 @@ def test_oracle_imports_none_of_the_equations_it_checks():
             names.update(alias.name for alias in node.names)
     assert "algebra" in names  # the scan sees the module's relative imports
     assert not names & {"weinorman", "berezin", "runner"}
+
+
+def _import_time_modules(tree: ast.Module) -> set[str]:
+    """Top-level names of the absolute imports a module runs when it is imported."""
+    names, stack = set(), list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # a function body runs when called, not at import
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy.linalg costs more than the rest of the import; only algebra.expm
+    # loads it, on its first call, and every caller goes through that one function
+    package = Path(fockoracle.__file__).parent
+    scans = {path.name: _import_time_modules(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(package.glob("*.py"))}
+    assert "numpy" in scans["runner.py"]  # the scan sees each module's imports
+    assert [name for name, mods in scans.items() if "scipy" in mods] == []
+    assert _import_time_modules(ast.parse("def f():\n    import scipy\n")) == set()
+    assert _import_time_modules(ast.parse("try:\n    import scipy.linalg\nexcept ImportError:\n    pass\n")) == {"scipy"}
+    assert runner.expm is berezin.expm is weinorman.expm is algebra.expm

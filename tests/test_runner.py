@@ -329,19 +329,23 @@ def test_stacked_rk45_steps_are_the_textbook_sums_bit_for_bit():
         assert t_got == t_want and np.array_equal(_bits(y_got), _bits(y_want))
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """`python args…` in a fresh interpreter that imports this sjdyn, with a 60 s timeout."""
+    src = str(Path(sjdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env)
+
+
 def test_cli_overflowing_rk45_run_exits_one_within_seconds(tmp_path):
     # a child process with a timeout, so that a return of the endless retry
     # fails this test instead of hanging the suite
     cfg = scalar_config(method="berezin-ball", integrator="rk45", grid={"t0": 0.0, "t1": 10.0, "step": 1e-3})
     cfg["coefficients"]["eps_a_re"] = 1.7e308
-    src = str(Path(sjdyn.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sjdyn.cli", "run", "--config", write_config(tmp_path, "overflow.json", cfg)],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
-    assert proc.returncode == 1
-    assert "run failed: at t=0: state not finite" in proc.stderr
+    path = write_config(tmp_path, "overflow.json", cfg)
+    proc = _fresh_python("-m", "sjdyn.cli", "run", "--config", path)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    # the CLI's one line, and none of numpy's RuntimeWarnings
+    assert proc.stderr == f"{path}: run failed: at t=0: state not finite\n"
 
 
 # --- the ball lanes' state layout ---------------------------------------------------
@@ -1272,6 +1276,38 @@ def test_cli_overflowing_drive_is_run_failure(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["wei-norman", "berezin-fc", "fock-oracle", "compare-all"])
+def test_cli_overflow_in_complex_arithmetic_reports_its_time(tmp_path, capsys, method):
+    # η² in the energy raises OverflowError at the first RK4 stage point,
+    # where a numpy operation would have returned inf
+    cfg = scalar_config(method=method)
+    cfg["coefficients"]["eps_a_re"] = 1e300
+    path = write_config(tmp_path, "huge.json", cfg)
+    assert cli.main(["run", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: run failed: at t=0.0005: right-hand side not finite")
+    assert err.count("\n") == 1
+
+
+def test_cli_start_whose_energy_overflows_reports_its_time(tmp_path, capsys):
+    # |η| = 1e155 is finite, but η² in the first sample's energy is not
+    cfg = scalar_config(method="berezin-fc", initial={"chart": "fc", "eta": [1e155, 0.0], "w": [0.1, 0.15]})
+    path = write_config(tmp_path, "big.json", cfg)
+    assert cli.main(["run", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith(f"{path}: run failed: at t=0: sample not finite")
+
+
+def test_cli_overflowing_riccati_run_prints_only_the_failure_line(tmp_path):
+    # a fresh interpreter, where numpy's RuntimeWarnings would reach stderr
+    # (the rk45 berezin-ball case is test_cli_overflowing_rk45_run_exits_one_within_seconds)
+    cfg = scalar_config(method="riccati-linearized", grid={"t0": 0.0, "t1": 1.0, "step": 1e-3})
+    cfg["coefficients"]["eps_a_re"] = 1e300
+    path = write_config(tmp_path, "overflow.json", cfg)
+    proc = _fresh_python("-m", "sjdyn.cli", "run", "--config", path)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"{path}: run failed: at t=0.001: state not finite\n"
+
+
 def test_cli_unwritable_output_is_run_failure(tmp_path, capsys):
     cfg = scalar_config(method="berezin-fc", output={"csv": str(tmp_path / "absent" / "out.csv")})
     assert cli.main(["run", "--config", write_config(tmp_path, "out.json", cfg)]) == 1
@@ -1283,6 +1319,41 @@ def test_cli_non_utf8_config_is_config_error(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe{")
     assert cli.main(["validate", "--config", str(path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+# --- cold start: scipy is imported by the first matrix exponential only ---------------
+
+_COLD_START = """
+import json, sys
+import sjdyn, sjdyn.cli
+before = "scipy" in sys.modules
+code = sjdyn.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([before, code, "scipy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "verb, cfg, loads_scipy",
+    [
+        (None, None, False),
+        ("validate", scalar_config(), False),
+        ("oracle", scalar_config(method="fock-oracle", fock={"dim": 120}), False),
+        ("run", scalar_config(method="wei-norman"), False),
+        ("run", scalar_config(method="berezin-fc"), False),
+        ("run", scalar_config(method="berezin-disk"), False),
+        ("run", ball_config(method="berezin-ball"), False),
+        ("compare", scalar_config(), True),
+        ("run", scalar_config(method="riccati-linearized"), True),
+    ],
+    ids=["import", "validate", "oracle", "wei-norman", "berezin-fc", "berezin-disk", "berezin-ball",
+         "compare", "riccati-linearized"],
+)
+def test_scipy_is_imported_by_the_first_matrix_exponential_only(tmp_path, verb, cfg, loads_scipy):
+    # a fresh interpreter: this one has scipy loaded already
+    argv = [verb, "--config", write_config(tmp_path, "cfg.json", cfg)] if verb else []
+    proc = _fresh_python("-c", _COLD_START, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, 0, loads_scipy]
 
 
 # --- malformed input, property-based ------------------------------------------------
