@@ -132,10 +132,6 @@ def _rhs_ball_raw(p: tuple[np.ndarray, ...], z: np.ndarray, W: np.ndarray) -> np
     return out.view(float)
 
 
-def _rhs_fc_ball_raw(c: BallCoefficients, eta: np.ndarray) -> np.ndarray:
-    return -1j * (c.eps + c.eps_minus @ eta.conj() + 0.5 * c.eps0.T @ eta)
-
-
 def rhs_disk(c: ComplexCoefficients, p: JacobiPoint) -> tuple[complex, complex]:
     """Time derivatives (ż, ẇ) of the product-chart flow at p (n=1)."""
     if p.n != 1:
@@ -167,7 +163,7 @@ def rhs_fc_ball(c: BallCoefficients, eta: np.ndarray) -> np.ndarray:
     eta = np.atleast_1d(np.asarray(eta, dtype=complex))
     if eta.shape != (c.n,):
         raise ValueError(f"eta must have length {c.n}, got shape {eta.shape}")
-    return _rhs_fc_ball_raw(c, eta)
+    return -1j * (c.eps + c.eps_minus @ eta.conj() + 0.5 * c.eps0.T @ eta)
 
 
 # --- linearization -----------------------------------------------------------

@@ -13,7 +13,7 @@ well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -239,13 +239,10 @@ def overlap_log(p: JacobiPoint, k: BargmannIndex) -> float:
     """
     if p.n != 1:
         raise ValueError("overlap_log is implemented for n=1 only")
-    z, w = p.z1, p.w1
-    s = abs(w) ** 2
-    two_f = (2 * z * z.conjugate() + z * z * w.conjugate() + z.conjugate() ** 2 * w) / (1 - s)
-    return float(-2.0 * k.k * np.log1p(-s) + 0.5 * two_f.real)
+    return _overlap_xy((p.z1.real, p.z1.imag, p.w1.real, p.w1.imag), k)
 
 
-def _overlap_xy(x: np.ndarray, k: BargmannIndex) -> float:
+def _overlap_xy(x: Sequence[float], k: BargmannIndex) -> float:
     """overlap_log over real coordinates (Re z, Im z, Re w, Im w), no validation."""
     z = complex(x[0], x[1])
     w = complex(x[2], x[3])

@@ -374,6 +374,16 @@ def _integrate_segments(
 # --- configuration ------------------------------------------------------------------
 
 
+def _fields(obj: Any, path: str, *keys: str) -> dict:
+    """obj as an object with no field outside `keys`; an unknown one is reported at its path."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "expected an object")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}", "unknown field")
+    return obj
+
+
 def _req(obj: Any, key: str, path: str) -> Any:
     if not isinstance(obj, dict):
         raise ConfigError(path, "expected an object")
@@ -429,6 +439,7 @@ def _parse_coefficients(obj: Any, path: str) -> ComplexCoefficients | BallCoeffi
 
     try:
         if "n" in obj:
+            _fields(obj, path, "n", "eps", "eps0", "eps_plus")
             n = _as_count(obj["n"], f"{path}.n", 1, math.inf)
             return BallCoefficients(
                 n=n,
@@ -437,6 +448,7 @@ def _parse_coefficients(obj: Any, path: str) -> ComplexCoefficients | BallCoeffi
                 eps_plus=_complex_array(_req(obj, "eps_plus", path), f"{path}.eps_plus", (n, n)),
             )
         if "eps_a_re" in obj:
+            _fields(obj, path, "eps_a_re", "eps_a_im", "eps_0", "eps_plus_re", "eps_plus_im")
             return ComplexCoefficients(
                 eps_a=complex(num("eps_a_re"), num("eps_a_im")),
                 eps_0=num("eps_0"),
@@ -444,6 +456,7 @@ def _parse_coefficients(obj: Any, path: str) -> ComplexCoefficients | BallCoeffi
             )
         if "nu1" in obj or "veps0" in obj:
             keys = ("nu1", "nu2", "veps0", "veps1", "veps2")
+            _fields(obj, path, *keys)
             real = {key: _as_float(obj.get(key, 0.0), f"{path}.{key}") for key in keys}
             return coeffs_from_real(RealCoefficients(**real))
     except ConfigError:
@@ -482,11 +495,13 @@ class ExperimentConfig:
     def from_json(cls, obj: dict[str, Any]) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config", "top level must be an object")
+        _fields(obj, "config", "method", "grid", "coefficients", "schedule", "initial", "k", "integrator",
+                "output", "fock", "tolerances")
         method = _req(obj, "method", "config")
         if method not in METHODS:
             raise ConfigError("config.method", f"unknown method {method!r}; choose from {METHODS}")
 
-        gobj = _req(obj, "grid", "config")
+        gobj = _fields(_req(obj, "grid", "config"), "config.grid", "t0", "t1", "step")
         try:
             grid = TimeGrid(
                 t0=_as_float(_req(gobj, "t0", "config.grid"), "config.grid.t0"),
@@ -521,18 +536,14 @@ class ExperimentConfig:
         if method == "compare-all" and integrator != "rk4":
             raise ConfigError("config.integrator", "compare-all shares one fixed RK4 grid")
 
-        out = obj.get("output", {})
-        if not isinstance(out, dict):
-            raise ConfigError("config.output", "expected an object")
+        out = _fields(obj.get("output", {}), "config.output", "csv", "report")
         for key in ("csv", "report"):
             if not isinstance(out.get(key, ""), str):
                 raise ConfigError(f"config.output.{key}", "expected a path string")
 
         fock_dim: int | None = None
         if "fock" in obj:
-            fobj = obj["fock"]
-            if not isinstance(fobj, dict):
-                raise ConfigError("config.fock", "expected an object")
+            fobj = _fields(obj["fock"], "config.fock", "dim")
             fock_dim = _as_count(_req(fobj, "dim", "config.fock"), "config.fock.dim", 2, FOCK_DIM_MAX)
             if abs(k.k - 0.25) > 1e-12:
                 raise ConfigError("config.fock", "the direct oracle realizes k=0.25 only")
@@ -544,12 +555,7 @@ class ExperimentConfig:
             fock_dim = 300
 
         tol = dict(DEFAULT_TOLERANCES)
-        tobj = obj.get("tolerances", {})
-        if not isinstance(tobj, dict):
-            raise ConfigError("config.tolerances", "expected an object")
-        for key, val in tobj.items():
-            if key not in tol:
-                raise ConfigError(f"config.tolerances.{key}", "unknown tolerance")
+        for key, val in _fields(obj.get("tolerances", {}), "config.tolerances", *tol).items():
             tol[key] = _as_float(val, f"config.tolerances.{key}")
 
         return cls(
@@ -582,8 +588,7 @@ class ExperimentConfig:
         prev = grid.t0
         for i, seg in enumerate(sched):
             path = f"config.schedule[{i}]"
-            if not isinstance(seg, dict):
-                raise ConfigError(path, "expected an object")
+            _fields(seg, path, "until", "coefficients")
             until = _as_float(_req(seg, "until", path), f"{path}.until")
             if until <= prev:
                 raise ConfigError(f"{path}.until", "segment ends must be strictly increasing")
@@ -608,6 +613,7 @@ class ExperimentConfig:
         if chart not in ("product", "fc"):
             raise ConfigError("config.initial.chart", f"expected 'product' or 'fc', got {chart!r}")
         key, w_key = ("z" if chart == "product" else "eta"), ("w" if n == 1 else "W")
+        _fields(obj, "config.initial", "chart", key, w_key)
         path, w_path = f"config.initial.{key}", f"config.initial.{w_key}"
         dims, w_dims = ((n,), (n, n)) if n > 1 else ((), ())  # n = 1 reads bare [re, im] pairs
         first = _complex_array(_req(obj, key, "config.initial"), path, dims).reshape(n)
@@ -673,18 +679,41 @@ def _integrate_lane(
     return _integrate_segments(segments, y0, cfg.grid, chart=chart)
 
 
-def _disk_sample(bcc: ComplexCoefficients, eta: complex, w: complex, y: np.ndarray, k: float) -> dict[str, float]:
-    """The n = 1 lanes' columns, once |w| < 1 holds on y = (·, ·, Re w, Im w, .., φ_D, φ_B):
-    margin, energy at (η, w), and the phases."""
-    if not y[2] ** 2 + y[3] ** 2 < 1.0:
-        raise InvariantViolation(f"|w| reached 1 (u={y[2]:.6g}, v={y[3]:.6g})")
-    return {
-        "margin": 1.0 - abs(w) ** 2,
-        "energy": _energy_raw(bcc, eta, w, k),
-        "phi_D": y[-2],
-        "phi_B": y[-1],
-        "phi": y[-2] + y[-1],
-    }
+def _disk_lane(cfg: ExperimentConfig, chart: str, lane: Callable | None = None, lane_vars: int = 0) -> Trajectory:
+    """The one n = 1 lane: y = (Re a, Im a, Re w, Im w, `lane_vars` more, φ_D, φ_B), a = η or z by `chart`.
+
+    Per segment ``lane(cc, bcc)`` gives ``rates(y, a, w, η̇, ẇ)`` of y[:-2] and the lane's own
+    ``columns(y)`` or None; no lane means the rates (η̇, ẇ) of berezin-fc.  The builder adds
+    (φ̇_D, φ̇_B) = (−E, Berry) at the η image, with (η̇, ẇ) from ``_rhs_fc_raw``, and samples
+    margin, energy and the phases once |w| < 1 holds.
+    """
+    a0, w0 = (cfg.eta0 if chart == "fc" else cfg.z0).item(), cfg.W0.item()
+    fc, k = chart == "fc", cfg.k.k
+    y0 = np.array([a0.real, a0.imag, w0.real, w0.imag, *[0.0] * lane_vars, 0.0, 0.0])
+
+    def segment(cc: ComplexCoefficients) -> tuple[Callable, Observer]:
+        bcc = conjugation_dictionary(cc)
+        rates, columns = lane(cc, bcc) if lane else (None, None)
+
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+            a, w = complex(y[0], y[1]), complex(y[2], y[3])
+            eta = a if fc else _eta(a, w)
+            deta, dw = _rhs_fc_raw(bcc, eta, w)
+            lead = (deta.real, deta.imag, dw.real, dw.imag) if rates is None else rates(y, a, w, deta, dw)
+            return np.array([*lead, -_energy_raw(bcc, eta, w, k), _berry_raw(eta, w, deta, dw, k)])
+
+        def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+            a, w = complex(y[0], y[1]), complex(y[2], y[3])
+            eta = a if fc else _eta(a, w)
+            if not y[2] ** 2 + y[3] ** 2 < 1.0:
+                raise InvariantViolation(f"|w| reached 1 (u={y[2]:.6g}, v={y[3]:.6g})")
+            sample = {"margin": 1.0 - abs(w) ** 2, "energy": _energy_raw(bcc, eta, w, k),
+                      "phi_D": y[-2], "phi_B": y[-1], "phi": y[-2] + y[-1]}
+            return np.array([a, w]), sample if columns is None else {**sample, **columns(y)}
+
+        return rhs, observer
+
+    return _integrate_lane(cfg, segment, y0, chart)
 
 
 def _lane_wei_norman(cfg: ExperimentConfig) -> Trajectory:
@@ -694,84 +723,40 @@ def _lane_wei_norman(cfg: ExperimentConfig) -> Trajectory:
     on the same grid with dictionary-translated coefficients; φ itself is
     kept as the 'phi_wn' diagnostic (they differ — see phase_bridge).
     """
-    eta0, w0 = cfg.eta0.item(), cfg.W0.item()
-    k = cfg.k
-    y0 = np.array([eta0.real, eta0.imag, w0.real, w0.imag, 0.0, 0.0, 0.0])
 
-    def segment(cc: ComplexCoefficients) -> tuple[Callable, Observer]:
-        rc = coeffs_to_real(cc)
-        bcc = conjugation_dictionary(cc)
+    def lane(cc: ComplexCoefficients, bcc: ComplexCoefficients) -> tuple[Callable, Callable]:
+        rc, k = coeffs_to_real(cc), cfg.k
 
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        def rates(y: np.ndarray, *_: complex) -> tuple[float, ...]:
             s = RealState(x=y[0], y=y[1], u=y[2], v=y[3])
-            dx, dy, du, dv = wn_rhs(rc, s)
-            dphi = wn_phase_rhs(rc, s, k)
-            eta, w = complex(y[0], y[1]), complex(y[2], y[3])
-            deta, dw = _rhs_fc_raw(bcc, eta, w)
-            return np.array([dx, dy, du, dv, dphi, -_energy_raw(bcc, eta, w, k.k), _berry_raw(eta, w, deta, dw, k.k)])
+            return (*wn_rhs(rc, s), wn_phase_rhs(rc, s, k))
 
-        def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-            eta, w = complex(y[0], y[1]), complex(y[2], y[3])
-            columns = _disk_sample(bcc, eta, w, y, k.k)
+        def columns(y: np.ndarray) -> dict[str, float]:
             s = RealState(x=y[0], y=y[1], u=y[2], v=y[3])
             q = quasienergy_coeffs(rc, s, wn_rhs(rc, s), wn_phase_rhs(rc, s, k))
-            columns["quasienergy_residual"] = max(abs(q.G1), abs(q.G2), abs(q.H1), abs(q.H2))
-            columns["phi_wn"] = y[4]
-            return np.array([eta, w]), columns
+            return {"quasienergy_residual": max(abs(q.G1), abs(q.G2), abs(q.H1), abs(q.H2)), "phi_wn": y[4]}
 
-        return rhs, observer
+        return rates, columns
 
-    return _integrate_lane(cfg, segment, y0, "fc")
+    return _disk_lane(cfg, "fc", lane, lane_vars=1)
 
 
 def _lane_berezin_fc(cfg: ExperimentConfig) -> Trajectory:
     """Decoupled coherent-state flow (η, w) with co-integrated phases."""
-    eta0, w0 = cfg.eta0.item(), cfg.W0.item()
-    k = cfg.k
-    y0 = np.array([eta0.real, eta0.imag, w0.real, w0.imag, 0.0, 0.0])
-
-    def segment(cc: ComplexCoefficients) -> tuple[Callable, Observer]:
-        bcc = conjugation_dictionary(cc)
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            eta, w = complex(y[0], y[1]), complex(y[2], y[3])
-            deta, dw = _rhs_fc_raw(bcc, eta, w)
-            return np.array([deta.real, deta.imag, dw.real, dw.imag,
-                             -_energy_raw(bcc, eta, w, k.k), _berry_raw(eta, w, deta, dw, k.k)])
-
-        def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-            eta, w = complex(y[0], y[1]), complex(y[2], y[3])
-            return np.array([eta, w]), _disk_sample(bcc, eta, w, y, k.k)
-
-        return rhs, observer
-
-    return _integrate_lane(cfg, segment, y0, "fc")
+    return _disk_lane(cfg, "fc")
 
 
 def _lane_berezin_disk(cfg: ExperimentConfig) -> Trajectory:
     """Product-chart coherent-state flow (z, w); phases evaluated on the η image."""
-    z0, w0 = cfg.z0.item(), cfg.W0.item()
-    k = cfg.k
-    y0 = np.array([z0.real, z0.imag, w0.real, w0.imag, 0.0, 0.0])
 
-    def segment(cc: ComplexCoefficients) -> tuple[Callable, Observer]:
-        bcc = conjugation_dictionary(cc)
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            z, w = complex(y[0], y[1]), complex(y[2], y[3])
+    def lane(cc: ComplexCoefficients, bcc: ComplexCoefficients) -> tuple[Callable, None]:
+        def rates(y: np.ndarray, z: complex, w: complex, *_: complex) -> tuple[float, ...]:
             dz, dw = _rhs_disk_raw(bcc, z, w)
-            eta = _eta(z, w)
-            deta, _ = _rhs_fc_raw(bcc, eta, w)
-            return np.array([dz.real, dz.imag, dw.real, dw.imag,
-                             -_energy_raw(bcc, eta, w, k.k), _berry_raw(eta, w, deta, dw, k.k)])
+            return dz.real, dz.imag, dw.real, dw.imag
 
-        def observer(t: float, y: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-            z, w = complex(y[0], y[1]), complex(y[2], y[3])
-            return np.array([z, w]), _disk_sample(bcc, _eta(z, w), w, y, k.k)
+        return rates, None
 
-        return rhs, observer
-
-    return _integrate_lane(cfg, segment, y0, "product")
+    return _disk_lane(cfg, "product", lane)
 
 
 def _ball_coefficients(c: ComplexCoefficients | BallCoefficients) -> BallCoefficients:

@@ -70,6 +70,14 @@ CONFIGS = {
         "method": "berezin-ball", "integrator": "rk45", "grid": {"t0": 0.0, "t1": 1.0, "step": 0.01},
         "coefficients": BALL, "initial": BALL_INITIAL,
     },
+    "fc-rk45": {
+        "method": "berezin-fc", "integrator": "rk45", "grid": {"t0": 0.0, "t1": 1.0, "step": 0.01},
+        "coefficients": SCALAR, "initial": SCALAR_INITIAL, "k": 0.75,
+    },
+    "disk-schedule": {
+        "method": "berezin-disk", "grid": {"t0": 0.0, "t1": 2.0, "step": 0.01}, "schedule": SCHEDULE,
+        "initial": {"chart": "product", "z": [-0.15, 0.3], "w": [-0.2, 0.1]},
+    },
 }
 
 

@@ -1031,10 +1031,14 @@ def test_fock_oracle_gates_the_phase(tmp_path, capsys, monkeypatch):
 # --- non-finite values never pass a guard or a gate ------------------------------------
 
 
-def test_disk_guard_rejects_nan():
-    bcc = conjugation_dictionary(ComplexCoefficients(eps_a=0.3, eps_0=0.8, eps_plus=0.2))
-    with pytest.raises(InvariantViolation, match="reached 1"):
-        runner._disk_sample(bcc, 0j, complex(np.nan, 0.0), np.array([0.0, 0.0, np.nan, 0.0, 0.0, 0.0]), 0.25)
+@pytest.mark.parametrize("lane, rhs", [("berezin-fc", "_rhs_fc_raw"), ("berezin-disk", "_rhs_disk_raw")])
+def test_disk_lane_rejects_a_nan_w(monkeypatch, lane, rhs):
+    # a NaN rate makes w NaN after the first step; |w| < 1 is then false
+    cfg = ExperimentConfig.from_json(scalar_config(method=lane, grid={"t0": 0.0, "t1": 0.3, "step": 0.1}))
+    nan = complex(np.nan, np.nan)
+    monkeypatch.setattr(runner, rhs, lambda bcc, first, w: (nan, nan))
+    with pytest.raises(InvariantViolation, match=r"^at t=0\.1: \|w\| reached 1"):
+        runner._LANES[lane](cfg)
 
 
 def test_ball_guard_rejects_nan():
@@ -1266,6 +1270,40 @@ def test_cli_non_string_output_path_is_config_error(tmp_path, capsys):
     cfg = scalar_config(method="berezin-fc", output={"csv": 3})
     assert cli.main(["run", "--config", write_config(tmp_path, "fd.json", cfg)]) == 1
     assert "config.output.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        pytest.param(scalar_config(integrater="rk45"), "config.integrater", id="top-level"),
+        pytest.param(scalar_config(output={"cvs": "out.csv"}), "config.output.cvs", id="output"),
+        pytest.param(scalar_config(grid={"t0": 0.0, "t1": 0.3, "step": 1e-3, "dt": 0.1}), "config.grid.dt",
+                     id="grid"),
+        pytest.param(scalar_config(initial={"chart": "fc", "eta": [0.2, -0.1], "w": [0.1, 0.15], "z": [0.1, 0.0]}),
+                     "config.initial.z", id="initial-other-chart"),
+        pytest.param(scalar_config(coefficients=dict(SCALAR_COEFFS, nu1=0.5)), "config.coefficients.nu1",
+                     id="complex-form"),
+        pytest.param(scalar_config(coefficients={"nu1": 0.2, "veps_0": 0.5}), "config.coefficients.veps_0",
+                     id="real-form"),
+        pytest.param(scalar_config(method="fock-oracle", fock={"dim": 60, "sector": "odd"}), "config.fock.sector",
+                     id="fock"),
+        pytest.param(ball_config(coefficients=dict(BALL_COEFFS, eps_minus=[])), "config.coefficients.eps_minus",
+                     id="ball-form"),
+        pytest.param(ball_config(initial=dict(ball_config()["initial"], w=[0.1, 0.0])), "config.initial.w",
+                     id="ball-initial"),
+        pytest.param(
+            {k: v for k, v in scalar_config(schedule=[
+                {"until": 0.3, "coefficients": SCALAR_COEFFS, "unitl": 0.2}]).items() if k != "coefficients"},
+            "config.schedule[0].unitl",
+            id="schedule-entry",
+        ),
+    ],
+)
+def test_cli_unknown_field_is_config_error(tmp_path, capsys, cfg, field):
+    # a misspelled key used to be ignored: the run went ahead on defaults
+    assert cli.main(["run", "--config", write_config(tmp_path, "typo.json", cfg)]) == 1
+    assert f"config error: {field}: unknown field" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_overflowing_drive_is_run_failure(tmp_path, capsys):
