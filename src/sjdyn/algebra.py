@@ -24,7 +24,7 @@ are stored as :class:`ComplexCoefficients` (scalar case) or
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any
 
@@ -139,12 +139,14 @@ class ComplexCoefficients:
     """Scalar coefficients (ε_a, ε₀, ε₊) of a hermitian linear Hamiltonian.
 
     ε₀ is real and ε₋ := conj(ε₊) is derived, so hermiticity cannot be
-    violated by construction.
+    violated by construction.  ε₋ is derived once, here: the right-hand
+    sides read it at every stage point.
     """
 
     eps_a: complex = 0.0
     eps_0: float = 0.0
     eps_plus: complex = 0.0
+    eps_minus: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps_a", complex(self.eps_a))
@@ -153,10 +155,7 @@ class ComplexCoefficients:
         for name in ("eps_a", "eps_0", "eps_plus"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-    @property
-    def eps_minus(self) -> complex:
-        return self.eps_plus.conjugate()
+        object.__setattr__(self, "eps_minus", self.eps_plus.conjugate())
 
     def generator_vector(self) -> GeneratorVector:
         """Coefficients of H over (I, a†, a, K₊, K₀, K₋)."""

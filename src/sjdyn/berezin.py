@@ -28,6 +28,7 @@ own convention pure.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,15 @@ def _riccati_step(M: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def _quotient_raw(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Unvalidated W = X·Y⁻¹; raises :class:`RiccatiSingularError` near singular Y."""
-    sv = np.linalg.svd(Y, compute_uv=False)
+    """Unvalidated W = X·Y⁻¹; raises :class:`RiccatiSingularError` near singular Y.
+
+    At n = 1 the one singular value of a finite y is |y|, read without an
+    SVD.  Any other Y goes through the SVD, which raises ``LinAlgError`` on NaN.
+    """
+    if Y.shape[0] == 1 and cmath.isfinite(Y[0, 0]):
+        sv = np.abs(Y[0])
+    else:
+        sv = np.linalg.svd(Y, compute_uv=False)
     if not sv[-1] > RICCATI_SINGULAR_TOL * sv[0]:
         raise RiccatiSingularError(
             f"relative smallest singular value of Y is {sv[-1] / sv[0]:.3e}")
@@ -89,8 +97,8 @@ def _quotient_raw(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 # --- right-hand sides -------------------------------------------------------
-# raw helpers work on plain scalars/arrays (integrator hot path); the public
-# operations validate through the chart point types.
+# Points are validated at the boundary: the public operations take chart
+# point types, the raw helpers plain scalars/arrays (the integrator hot path).
 
 
 def _rhs_disk_raw(c: ComplexCoefficients, z: complex, w: complex) -> tuple[complex, complex]:

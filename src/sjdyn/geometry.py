@@ -42,8 +42,15 @@ MARGIN_MIN = 1e-14
 
 
 def _ball_margin(W: np.ndarray) -> float:
-    """Smallest eigenvalue of 1ₙ − W·W̄ (W·W̄ is hermitian for symmetric W)."""
+    """Smallest eigenvalue of 1ₙ − W·W̄ (W·W̄ is hermitian for symmetric W).
+
+    At n = 1 that is 1 − w·w̄ itself, computed on a Python complex: the same
+    bits as ``eigvalsh``, also for NaN, ±inf and overflow, without its cost.
+    """
     n = W.shape[0]
+    if n == 1:
+        w = complex(W[0, 0])
+        return float((1 - w * w.conjugate()).real)
     gram = np.eye(n) - W @ W.conj()
     return float(np.linalg.eigvalsh(gram)[0].real)
 
@@ -73,11 +80,13 @@ class BallPoint:
             W = W.reshape(1, 1)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValueError(f"W must be square, got shape {W.shape}")
+        if not np.isfinite(W).all():
+            raise ValueError("W must be finite")
         sym = float(np.max(np.abs(W - W.T))) if W.size else 0.0
-        if sym > SYMMETRY_TOL:
+        if not sym <= SYMMETRY_TOL:
             raise ValueError(f"W not symmetric: residual {sym:.3e}")
         margin = _ball_margin(W)
-        if margin <= MARGIN_MIN:
+        if not margin > MARGIN_MIN:
             raise ValueError(f"1 - W Wbar not positive definite: margin {margin:.3e}")
         W.setflags(write=False)
         object.__setattr__(self, "W", W)

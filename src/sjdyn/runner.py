@@ -56,6 +56,7 @@ from .fockoracle import FockBasisSpec, _check_tail, chart_state_vector, hamilton
 from .geometry import MARGIN_MIN, BargmannIndex, FCPoint, JacobiPoint, _ball_margin, fc_forward, fc_inverse
 from .weinorman import (
     RealState,
+    _raw_state,
     conjugation_dictionary,
     quasienergy_coeffs,
     wn_phase_rhs,
@@ -338,18 +339,21 @@ def _integrate_segments(
     (see :func:`_owner`); an invariant it finds broken, or an overflow, gets
     the time added.  Between samples each segment's ``advance(a, y, b)`` (from
     :func:`_rk_stepper`, or an exact propagator) maps y(a) to y(b); a grid
-    interval that contains a segment end is cut there.  A state row or
-    column that is not finite stops the run at its first such sample.
+    interval whose two ends have different owners is cut at the segment ends
+    inside it (see :func:`_substeps`), any other is one step of its owner.
+    A state row or column that is not finite stops the run at its first such
+    sample.
     """
     times = grid.times()
     y = np.asarray(y0, dtype=float).copy()
     ends = [seg[0] for seg in segments]
+    owners = [_owner(ends, t) for t in times]
     rows: list[np.ndarray] = []
     diags: dict[str, list[float]] = {}
 
     for i, t in enumerate(times):
         try:
-            row, dg = segments[_owner(ends, t)][2](t, y)
+            row, dg = segments[owners[i]][2](t, y)
         except InvariantViolation as exc:
             raise InvariantViolation(f"at t={t:.6g}: {exc}") from exc
         except ArithmeticError as exc:
@@ -359,8 +363,11 @@ def _integrate_segments(
             diags.setdefault(key, []).append(float(val))
         if i + 1 == times.size:
             break
-        for j, a, b in _substeps(ends, t, times[i + 1]):
-            y = segments[j][1](a, y, b)
+        if owners[i + 1] == owners[i]:
+            y = segments[owners[i]][1](t, y, times[i + 1])
+        else:
+            for j, a, b in _substeps(ends, t, times[i + 1]):
+                y = segments[j][1](a, y, b)
 
     states, columns = np.vstack(rows), {key: np.asarray(v) for key, v in diags.items()}
     finite = {"state": np.isfinite(states).all(axis=1), **{key: np.isfinite(v) for key, v in columns.items()}}
@@ -502,12 +509,9 @@ class ExperimentConfig:
             raise ConfigError("config.method", f"unknown method {method!r}; choose from {METHODS}")
 
         gobj = _fields(_req(obj, "grid", "config"), "config.grid", "t0", "t1", "step")
+        t0, t1, step = (_as_float(_req(gobj, key, "config.grid"), f"config.grid.{key}") for key in ("t0", "t1", "step"))
         try:
-            grid = TimeGrid(
-                t0=_as_float(_req(gobj, "t0", "config.grid"), "config.grid.t0"),
-                t1=_as_float(_req(gobj, "t1", "config.grid"), "config.grid.t1"),
-                step=_as_float(_req(gobj, "step", "config.grid"), "config.grid.step"),
-            )
+            grid = TimeGrid(t0=t0, t1=t1, step=step)
         except ValueError as exc:
             raise ConfigError("config.grid", str(exc)) from exc
 
@@ -728,11 +732,11 @@ def _lane_wei_norman(cfg: ExperimentConfig) -> Trajectory:
         rc, k = coeffs_to_real(cc), cfg.k
 
         def rates(y: np.ndarray, *_: complex) -> tuple[float, ...]:
-            s = RealState(x=y[0], y=y[1], u=y[2], v=y[3])
+            s = _raw_state(*y[:4].tolist())
             return (*wn_rhs(rc, s), wn_phase_rhs(rc, s, k))
 
         def columns(y: np.ndarray) -> dict[str, float]:
-            s = RealState(x=y[0], y=y[1], u=y[2], v=y[3])
+            s = _raw_state(*y[:4].tolist())
             q = quasienergy_coeffs(rc, s, wn_rhs(rc, s), wn_phase_rhs(rc, s, k))
             return {"quasienergy_residual": max(abs(q.G1), abs(q.G2), abs(q.H1), abs(q.H2)), "phi_wn": y[4]}
 
@@ -783,11 +787,18 @@ def _unpack_ball(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ball_sample(z: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-    """The ball lanes' row (z, W..) and margin, once W is symmetric and 1 − W·W̄ ≻ 0."""
-    sym = float(np.max(np.abs(W - W.T)))
+    """The ball lanes' row (z, W..) and margin, once W is symmetric and 1 − W·W̄ ≻ 0.
+
+    At n = 1, while w + w is finite, W − Wᵗ is 0 and ½(W + Wᵗ) is W up to the
+    sign of a zero, which the margin does not read: no 1×1 array arithmetic.
+    """
+    if z.shape[0] == 1 and cmath.isfinite(W[0, 0] + W[0, 0]):
+        sym, sym_part = 0.0, W
+    else:
+        sym, sym_part = float(np.max(np.abs(W - W.T))), 0.5 * (W + W.T)
     if not sym <= 1e-8:
         raise InvariantViolation(f"W symmetry drifted to {sym:.3e}")
-    margin = _ball_margin(0.5 * (W + W.T))
+    margin = _ball_margin(sym_part)
     if not margin > 0.0:
         raise InvariantViolation(f"ball margin reached {margin:.3e}")
     return np.concatenate([z, W.reshape(-1)]), {"margin": margin}

@@ -12,7 +12,9 @@ empty.
 The matrix is every method × rk4/rk45 (compare-all rk4 only) × fc/product
 start × constant/two-segment drive × k ∈ {0.25, 0.75} (fock-oracle at 0.25
 only), plus three failures for each n = 1 lane: an overflow at an RK stage
-point, a first sample that is not finite, and |w| reaching 1.
+point, a first sample that is not finite, and |w| reaching 1.  At n = 2 it
+runs the README ball drive through the two ball lanes × rk4/rk45 and
+compare-all × fc/product start × constant/two-segment drive.
 """
 
 from __future__ import annotations
@@ -38,6 +40,24 @@ INITIAL = {
     "product": {"chart": "product", "z": [-0.15, 0.3], "w": [-0.2, 0.1]},
 }
 GRID = {"t0": 0.0, "t1": 1.0, "step": 0.01}
+BALL = {
+    "n": 2,
+    "eps": [[0.1, 0.2], [0.0, -0.3]],
+    "eps0": [[[0.5, 0.0], [0.1, -0.2]], [[0.1, 0.2], [0.3, 0.0]]],
+    "eps_plus": [[[0.2, 0.0], [0.0, 0.1]], [[0.0, 0.1], [-0.4, 0.0]]],
+}
+BALL_SECOND = {
+    "n": 2,
+    "eps": [[-0.2, 0.1], [0.15, 0.0]],
+    "eps0": [[[-0.6, 0.0], [0.0, 0.1]], [[0.0, -0.1], [0.4, 0.0]]],
+    "eps_plus": [[[0.1, 0.05], [0.0, -0.1]], [[0.0, -0.1], [0.15, 0.0]]],
+}
+BALL_INITIAL = {
+    "fc": {"chart": "fc", "eta": [[0.2, -0.1], [0.0, 0.3]],
+           "W": [[[0.1, 0.0], [0.0, 0.2]], [[0.0, 0.2], [-0.1, 0.0]]]},
+    "product": {"chart": "product", "z": [[-0.15, 0.3], [0.1, 0.0]],
+                "W": [[[-0.2, 0.1], [0.05, 0.0]], [[0.05, 0.0], [0.1, -0.1]]]},
+}
 N1_LANES = ("wei-norman", "berezin-fc", "berezin-disk")
 METHODS = (*N1_LANES, "berezin-ball", "riccati-linearized", "fock-oracle", "compare-all")
 VERB = {"compare-all": "compare", "fock-oracle": "oracle"}
@@ -58,6 +78,17 @@ def matrix() -> dict[str, dict]:
         if method == "fock-oracle":
             cfg["fock"] = {"dim": 120}
         configs[f"{method}-{integrator}-{chart}-{drive}-k{k}"] = cfg
+    for method, integrator, chart, drive in itertools.product(
+        ("berezin-ball", "riccati-linearized", "compare-all"), ("rk4", "rk45"), BALL_INITIAL, ("constant", "schedule")
+    ):
+        if method == "compare-all" and integrator == "rk45":
+            continue
+        cfg = {"method": method, "integrator": integrator, "grid": GRID, "initial": BALL_INITIAL[chart]}
+        if drive == "constant":
+            cfg["coefficients"] = BALL
+        else:
+            cfg["schedule"] = [{"until": 0.555, "coefficients": BALL}, {"until": 1.0, "coefficients": BALL_SECOND}]
+        configs[f"n2-{method}-{integrator}-{chart}-{drive}"] = cfg
     for method in N1_LANES:
         base = {"method": method, "grid": GRID, "initial": INITIAL["fc"]}
         configs[f"{method}-fail-stage-overflow"] = dict(

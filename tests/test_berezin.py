@@ -362,6 +362,27 @@ def test_to_ball_recovers_quotient():
     assert np.allclose(pair.to_ball().W, W, atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("y, error, message", [
+    (0j, RiccatiSingularError, "relative smallest singular value of Y is nan"),
+    (complex(-0.0, 0.0), RiccatiSingularError, "relative smallest singular value of Y is nan"),
+    (complex(np.inf, 0.0), RiccatiSingularError, "relative smallest singular value of Y is nan"),
+    (complex(np.nan, 0.0), np.linalg.LinAlgError, "SVD did not converge"),
+    (complex(0.0, np.nan), np.linalg.LinAlgError, "SVD did not converge"),
+])
+def test_scalar_quotient_raises_on_a_singular_or_non_finite_y(y, error, message):
+    # the errors of the SVD route, which the n = 1 branch leaves to it or reproduces
+    with np.errstate(all="ignore"), pytest.raises(error, match=f"^{message}$"):
+        berezin._quotient_raw(np.array([[0.3 + 0.1j]]), np.array([[y]]))
+
+
+def test_scalar_quotient_is_the_solve():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
+        X, Y = np.array([[x]]), np.array([[y]])
+        np.testing.assert_array_equal(berezin._quotient_raw(X, Y), np.linalg.solve(Y.T, X.T).T)
+
+
 def test_to_ball_singular_y_raises():
     with pytest.raises(RiccatiSingularError):
         LinearizationPair(

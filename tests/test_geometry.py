@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from sjdyn import geometry
 from sjdyn.geometry import (
     BallPoint,
     BargmannIndex,
@@ -190,6 +191,37 @@ def test_ball_point_validation():
     p = BallPoint.from_scalar(0.3 + 0.4j)
     assert p.margin == pytest.approx(0.75, abs=1e-12)
     assert p.scalar() == 0.3 + 0.4j
+
+
+@pytest.mark.parametrize("W", [
+    pytest.param(np.array([[np.nan]]), id="n1-nan"),
+    pytest.param(np.array([[complex(0.1, np.nan)]]), id="n1-nan-imag"),
+    pytest.param(np.array([[np.inf]]), id="n1-inf"),
+    pytest.param(np.array([[0.1, np.nan], [np.nan, 0.2]]), id="n2-offdiagonal-nan"),
+    pytest.param(np.array([[0.1, 0.0], [0.0, np.nan]]), id="n2-diagonal-nan"),
+])
+def test_ball_point_rejects_a_non_finite_w(W):
+    with pytest.raises(ValueError, match="W must be finite"):
+        BallPoint(W=W)
+
+
+def _eigvalsh_margin(W):
+    n = W.shape[0]
+    return float(np.linalg.eigvalsh(np.eye(n) - W @ W.conj())[0].real)
+
+
+def test_ball_margin_scalar_branch_is_eigvalsh_bit_for_bit():
+    rng = np.random.default_rng(20140324)
+    radius = np.concatenate([rng.uniform(0.0, 1.2, 5000), 10.0 ** rng.uniform(-200, 2, 5000)])
+    ws = list(radius * np.exp(2j * np.pi * rng.uniform(size=radius.size)))
+    ws += [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(-np.inf, 0.0),
+           complex(0.0, np.inf), complex(np.inf, -np.inf), 1e200, 1e200j, complex(-1e200, 1e200),
+           0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.0, -1j]
+    with np.errstate(all="ignore"):
+        for w in ws:
+            W = np.array([[w]], dtype=complex)
+            want, got = _eigvalsh_margin(W), geometry._ball_margin(W)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), w
 
 
 def test_disk_point_validation():

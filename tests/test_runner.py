@@ -654,6 +654,9 @@ def test_from_json_rejects_bad_scalar_field(mutate, fragment):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_json(cfg)
     assert fragment in str(err.value)
+    if fragment.startswith("config"):  # a field path: the error names that field, once
+        assert err.value.path == fragment
+        assert str(err.value).count(fragment + ":") == 1
 
 
 @pytest.mark.parametrize(
@@ -1044,6 +1047,48 @@ def test_disk_lane_rejects_a_nan_w(monkeypatch, lane, rhs):
 def test_ball_guard_rejects_nan():
     with pytest.raises(InvariantViolation, match="symmetry"):
         runner._ball_sample(np.zeros(1, dtype=complex), np.array([[complex(np.nan, 0.0)]]))
+
+
+def _ball_sample_outcome(sample):
+    try:
+        row, columns = sample()
+    except InvariantViolation as exc:
+        return str(exc)
+    return row.tobytes(), np.float64(columns["margin"]).tobytes()
+
+
+def test_scalar_ball_sample_is_the_array_arithmetic():
+    # the n = 1 branch of _ball_sample against its n ≥ 2 arithmetic on a 1×1 W
+    rng = np.random.default_rng(1963)
+    radius = np.concatenate([rng.uniform(0.0, 1.1, 300), [1.0, 1e154, 1e200, 1e308]])
+    ws = list(radius * np.exp(2j * np.pi * rng.uniform(size=radius.size)))
+    ws += [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(1e308, 0.5), 1.0, -1j]
+    z = np.array([0.1 - 0.2j])
+
+    def array_route(W):
+        sym = float(np.max(np.abs(W - W.T)))
+        if not sym <= 1e-8:
+            raise InvariantViolation(f"W symmetry drifted to {sym:.3e}")
+        S = 0.5 * (W + W.T)
+        margin = float(np.linalg.eigvalsh(np.eye(1) - S @ S.conj())[0].real)
+        if not margin > 0.0:
+            raise InvariantViolation(f"ball margin reached {margin:.3e}")
+        return np.concatenate([z, W.reshape(-1)]), {"margin": margin}
+
+    with np.errstate(all="ignore"):
+        for w in ws:
+            W = np.array([[w]], dtype=complex)
+            assert _ball_sample_outcome(lambda: runner._ball_sample(z, W)) == _ball_sample_outcome(
+                lambda: array_route(W)), w
+
+
+def test_wei_norman_edge_message_is_unchanged(tmp_path, capsys):
+    from output_matrix import matrix
+
+    path = write_config(tmp_path, "edge.json", matrix()["wei-norman-fail-edge"])
+    assert cli.main(["run", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        f"{path}: run failed: at t=0.05: (u,v) must lie inside the unit disk: u=0.9038, v=-4.561\n")
 
 
 @pytest.mark.parametrize("lane", ["berezin-ball", "riccati-linearized"])

@@ -18,6 +18,7 @@ from sjdyn.algebra import (
     coeffs_to_real,
 )
 from sjdyn.geometry import BargmannIndex, FCPoint, disk_param
+from sjdyn import weinorman
 from sjdyn.weinorman import (
     CHAIN_COND_MAX,
     ChartSingularError,
@@ -509,3 +510,27 @@ def test_real_state_validation():
     s = RealState(0.1, -0.2, 0.3, 0.4)
     assert s.alpha == 0.1 - 0.2j
     assert s.w == 0.3 + 0.4j
+
+
+@pytest.mark.parametrize("xyuv, error, message", [
+    ((float("nan"), 0.0, 0.0, 0.0), ValueError, "x must be finite"),
+    ((0.0, float("inf"), float("nan"), 0.0), ValueError, "y must be finite"),
+    ((0.0, 0.0, float("nan"), 0.0), ValueError, "u must be finite"),
+    ((0.0, 0.0, 0.0, float("-inf")), ValueError, "v must be finite"),
+    ((0.0, 0.0, 0.8, 0.7), ValueError, "(u,v) must lie inside the unit disk: u=0.8, v=0.7"),
+    ((0.0, 0.0, 0.9038, -4.561), ValueError, "(u,v) must lie inside the unit disk: u=0.9038, v=-4.561"),
+    ((0.0, 0.0, 1e200, 0.0), OverflowError, None),
+])
+@pytest.mark.parametrize("build", [RealState, weinorman._raw_state], ids=["RealState", "raw"])
+def test_real_state_checks_on_raw_floats(build, xyuv, error, message):
+    with pytest.raises(error) as exc:
+        build(*xyuv)
+    if message is not None:
+        assert str(exc.value) == message
+
+
+def test_raw_state_reads_as_real_state():
+    s, raw = RealState(0.1, -0.2, 0.3, 0.4), weinorman._raw_state(0.1, -0.2, 0.3, 0.4)
+    assert (raw.x, raw.y, raw.u, raw.v) == (s.x, s.y, s.u, s.v)
+    rc = RealCoefficients(0.3, -0.1, 0.4, 0.2, -0.15)
+    assert wn_rhs(rc, raw) == wn_rhs(rc, s)
